@@ -79,11 +79,9 @@ def _group_partial(q: float, count: int, m: float) -> float:
 
 
 def _eval_group(model: RuntimeModel, count: int, budget: float):
-    if distx.success_impossible(model, budget):
-        q, m = runtime_stats(model, budget)
-        return count, budget, 1.0, m, True
+    hopeless = distx.success_impossible(model, budget)
     q, m = runtime_stats(model, budget)
-    return count, budget, q, m, False
+    return count, budget, 1.0 if hopeless else q, m, hopeless
 
 
 def analytic_cost(

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 # Support values are capped so exp(x) and the largest schedule budgets stay
 # inside double range.
 MAX_SUPPORT_LOG = 300.0
@@ -320,6 +318,17 @@ def _geom_mean_trunc(p: float, n: float) -> float:
     if p >= 1.0:
         return 1.0
     return -math.expm1(n * math.log1p(-p)) / p
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first call.
+
+    Only the adversarial density under the geometric law integrates, so the
+    package imports without scipy and loads it the first time it is needed.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _adv_quad(dist: DistX, integrand, points=None) -> float:

@@ -9,6 +9,7 @@ the grouped form is what the exact cost oracle consumes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -160,6 +161,10 @@ def two_threshold_schedule(ex: float) -> Schedule:
     return Schedule(kind="two_threshold", params=(("EX", ex),), cycle=cycle)
 
 
+# The universal schedule rebuilds the block for e = 5, 6, ... on every pass
+# over its budgets; BudgetBlock is immutable, so one instance per e is shared.
+# Exceptions are not cached, so an out-of-range e raises on every call.
+@functools.lru_cache(maxsize=512)
 def budget_block(e: float) -> BudgetBlock:
     """One escalation round for a known bound e >= 5 on the mean of X.
 

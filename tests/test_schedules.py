@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vegas_restart import starfn
 from vegas_restart.schedules import (
+    MAX_BLOCK_PARAM,
     ScheduleRangeError,
     budget_block,
     build_schedule,
@@ -80,6 +81,25 @@ def test_budget_block_six_counts_and_budgets():
     exponents = [math.log(b / 2.0) for _, b in block.entries]
     assert exponents[:3] == pytest.approx([0.625, 0.954, 1.144], abs=1.1e-3)
     assert exponents[3] == pytest.approx(16.0, abs=1e-12)
+
+
+def test_budget_block_builds_each_e_once(monkeypatch):
+    calls = []
+    real = starfn.shrink_trace
+    monkeypatch.setattr(starfn, "shrink_trace", lambda e: calls.append(e) or real(e))
+    budget_block.cache_clear()
+    first = budget_block(9.0)
+    assert budget_block(9.0) is first
+    for _ in range(2):
+        first_budgets(universal_schedule(), 1000)
+    assert calls.count(9.0) == 1 and len(calls) == len(set(calls)) > 1
+
+
+def test_budget_block_out_of_range_raises_on_every_call():
+    for e in (4.999, MAX_BLOCK_PARAM + 0.5, math.nan, math.inf):
+        for _ in range(3):
+            with pytest.raises(ScheduleRangeError):
+                budget_block(e)
 
 
 def test_budget_block_counts_are_even_and_at_least_two():
