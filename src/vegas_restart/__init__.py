@@ -57,7 +57,6 @@ from .engine import (
     run_with_schedule,
 )
 from .schedules import (
-    BudgetBlock,
     Schedule,
     ScheduleRangeError,
     budget_block,

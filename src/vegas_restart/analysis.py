@@ -4,8 +4,8 @@ behind the verification suite.
 The oracle uses renewal summation over independent attempts: with
 (q_i, m_i) = runtime_stats at budget i, expected total cost is
 sum_i (prod_{j<i} q_j) * m_i.  Cyclic schedules admit an exact closed-form
-remainder; the unbounded escalating schedule gets a certified geometric tail
-bound; anything else is scanned until the survival product hits exact zero.
+remainder; the unbounded kinds are summed round by round until their tail
+certificate closes the series or the survival product hits exact zero.
 Expected-cost claims are reported as [expected_cost, expected_cost +
 tail_bound] enclosures.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distx, schedules, starfn
+from . import distx, starfn
 from .distx import DistX, RuntimeModel, cdf, cdf_strict, expectation, runtime_stats
 from .schedules import Schedule, budget_block
 
@@ -100,8 +100,6 @@ def analytic_cost(
         raise ValueError(f"eps_tail must be positive, got {eps_tail!r}")
     if schedule.cycle is not None:
         return _cyclic_cost(model, schedule, eps_tail, attempt_cap)
-    if schedule.kind == "universal":
-        return _universal_cost(model, eps_tail, attempt_cap)
     return _scan_cost(model, schedule, eps_tail, attempt_cap)
 
 
@@ -136,81 +134,65 @@ def _cyclic_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     return CostEstimate(partial, tail, n_cycles * cycle_attempts)
 
 
-def _universal_cost(model, eps_tail, attempt_cap) -> CostEstimate:
+def _universal_tail(model, schedule, rounds_done, survival):
+    e = 5 + rounds_done  # bound of the next block
+    q_close, _ = runtime_stats(model, 2.0 * math.exp(e + 10.0))
+    if q_close <= 0.5:
+        # Every later block for bound e' >= e has survival factor at most
+        # q_close**2 (its two closing attempts, and q is nonincreasing in the
+        # budget) and costs at most _BLOCK_COST_FACTOR * exp(e'), so the
+        # remainder is a geometric series with ratio exp(1) * q_close**2 <= e/4.
+        ratio = math.e * q_close * q_close
+        return survival * _BLOCK_COST_FACTOR * math.exp(e) / (1.0 - ratio)
+    return None
+
+
+def _luby_tail(model, schedule, rounds_done, survival):
+    if rounds_done == 0:
+        return None
+    unit = dict(schedule.params)["unit"]
+    # L_1..L_n peak at 2**(k-1) with k = floor(log2(n + 1)).
+    mult = float(1 << ((rounds_done + 1).bit_length() - 2))
+    q_peak, _ = runtime_stats(model, unit * mult)
+    if q_peak <= 0.5:
+        # Peaks of height >= the peak so far recur with index gaps at most
+        # twice the peak multiplier; between the k-th and (k+1)-th future
+        # peak every budget is at most unit times the position, so the span
+        # costs at most unit * position**2 and the position grows linearly
+        # in k.  With survival shrinking by q_peak per peak,
+        # sum_k (k+1)^2 x^k = (1+x)/(1-x)^3 closes the bound.
+        span = rounds_done + 4.0 * mult
+        return survival * unit * span * span * (1.0 + q_peak) / (1.0 - q_peak) ** 3
+    return None
+
+
+# Remainder bounds for the unbounded kinds, tried at the top of each round
+# once the survival product is below eps_tail: (model, schedule, rounds done,
+# survival) -> tail bound, or None if the bound does not close yet.
+_TAIL_CERTIFICATES = {"universal": _universal_tail, "luby": _luby_tail}
+
+
+def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
+    tail_certificate = _TAIL_CERTIFICATES[schedule.kind]
     survival = 1.0
     total = 0.0
     attempts = 0
-    for e in range(5, int(schedules.MAX_BLOCK_PARAM) + 1):
+    for rounds_done, groups in enumerate(schedule.rounds()):
         if survival <= eps_tail:
-            closing_budget = 2.0 * math.exp(e + 10.0)
-            q_close, _ = runtime_stats(model, closing_budget)
-            if q_close <= 0.5:
-                # Every later block for bound e' >= e has survival factor at
-                # most q_close**2 (its two closing attempts, and q is
-                # nonincreasing in the budget) and costs at most
-                # _BLOCK_COST_FACTOR * exp(e'), so the remainder is a
-                # geometric series with ratio exp(1) * q_close**2 <= e/4.
-                ratio = math.e * q_close * q_close
-                tail = survival * _BLOCK_COST_FACTOR * math.exp(e) / (1.0 - ratio)
+            tail = tail_certificate(model, schedule, rounds_done, survival)
+            if tail is not None:
                 return CostEstimate(total, tail, attempts)
-        for count, budget in budget_block(float(e)).entries:
+        if attempts > attempt_cap:
+            raise TailNotConvergent(
+                f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
+            )
+        for count, budget in groups:
             count, budget, q, m, _hopeless = _eval_group(model, count, budget)
             total += survival * _group_partial(q, count, m)
             survival *= q**count
             attempts += count
             if survival <= 0.0:
                 return CostEstimate(total, 0.0, attempts)
-        if attempts > attempt_cap:
-            raise TailNotConvergent(
-                f"no tail certificate after {attempts} attempts of the escalating schedule"
-            )
-    raise schedules.ScheduleRangeError(
-        "universal cost scan would need blocks past the E <= 280 guard"
-    )
-
-
-def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
-    survival = 1.0
-    total = 0.0
-    attempts = 0
-    position = 0
-    peak_budget = 0.0
-    is_luby = schedule.kind == "luby"
-    unit = dict(schedule.params).get("unit", 1.0) if is_luby else None
-    for count, budget in schedule.groups():
-        count, budget, q, m, _hopeless = _eval_group(model, count, budget)
-        total += survival * _group_partial(q, count, m)
-        survival *= q**count
-        attempts += count
-        position += count
-        peak_budget = max(peak_budget, budget)
-        if survival <= 0.0:
-            return CostEstimate(total, 0.0, attempts)
-        if is_luby and survival <= eps_tail:
-            q_peak, _ = runtime_stats(model, peak_budget)
-            if q_peak <= 0.5:
-                # Peaks of height >= peak_budget recur with index gaps at most
-                # twice the peak multiplier; between the k-th and (k+1)-th
-                # future peak every budget is at most unit times the position,
-                # so the span costs at most unit * position**2 and the
-                # position grows linearly in k.  With survival shrinking by
-                # q_peak per peak, sum_k (k+1)^2 x^k = (1+x)/(1-x)^3 closes
-                # the bound.
-                mult = peak_budget / unit
-                span = position + 4.0 * mult
-                tail = (
-                    survival
-                    * unit
-                    * span
-                    * span
-                    * (1.0 + q_peak)
-                    / (1.0 - q_peak) ** 3
-                )
-                return CostEstimate(total, tail, attempts)
-        if attempts > attempt_cap:
-            raise TailNotConvergent(
-                f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
-            )
     raise RuntimeError("unreachable: schedules are infinite")
 
 
@@ -242,8 +224,7 @@ _GRID_POINTS = 10_001
 
 def _cdf_strict_vec(dist: DistX, ts: np.ndarray) -> np.ndarray:
     if dist.family == "adversarial_density":
-        a = math.exp(-(dist.E + 1.0))
-        t_max = dist.E + 1.0 + math.log1p(a)
+        a, t_max = distx._adv_consts(dist)
         out = np.clip(np.exp(ts - (dist.E + 1.0)) - a, 0.0, 1.0)
         out[ts <= 0.0] = 0.0
         out[ts >= t_max] = 1.0
@@ -356,7 +337,7 @@ def block_success_prob(model: RuntimeModel, e: float) -> float:
     """Probability that one escalation block for bound e completes a run."""
     e = _require_upper_bound(model.dist, e)
     log_fail = 0.0
-    for count, budget in budget_block(e).entries:
+    for count, budget in budget_block(e):
         q, _ = runtime_stats(model, budget)
         if q <= 0.0:
             return 1.0

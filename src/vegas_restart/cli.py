@@ -96,6 +96,13 @@ class ExperimentConfig:
     cap_trip_threshold: float = 0.0
 
 
+def _number(obj: dict, name: str, convert, default):
+    try:
+        return convert(obj.get(name, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {obj.get(name)!r}") from None
+
+
 def parse_config(obj) -> list[ExperimentConfig]:
     """Parse one config object or a list of them; unknown fields are rejected."""
     entries = obj if isinstance(obj, list) else [obj]
@@ -120,12 +127,15 @@ def parse_config(obj) -> list[ExperimentConfig]:
             if not isinstance(caps_obj, dict) or set(caps_obj) - _CAPS_FIELDS:
                 raise ConfigError(f"caps takes fields {sorted(_CAPS_FIELDS)}")
             caps = Caps(
-                max_attempts=int(caps_obj.get("max_attempts", Caps.max_attempts)),
-                max_total_cost=float(caps_obj.get("max_total_cost", Caps.max_total_cost)),
+                max_attempts=_number(caps_obj, "max_attempts", int, Caps.max_attempts),
+                max_total_cost=_number(caps_obj, "max_total_cost", float, Caps.max_total_cost),
             )
-        trials = int(entry.get("trials", 100_000))
+        trials = _number(entry, "trials", int, 100_000)
         if trials < 2:
             raise ConfigError(f"trials must be >= 2, got {trials}")
+        eps_tail = _number(entry, "eps_tail", float, 1e-10)
+        if not eps_tail > 0.0:
+            raise ConfigError(f"eps_tail must be positive, got {eps_tail!r}")
         configs.append(
             ExperimentConfig(
                 distribution=entry["distribution"],
@@ -133,10 +143,10 @@ def parse_config(obj) -> list[ExperimentConfig]:
                 schedule=entry["schedule"],
                 mode=mode,
                 trials=trials,
-                seed=int(entry.get("seed", 42)),
-                eps_tail=float(entry.get("eps_tail", 1e-10)),
+                seed=_number(entry, "seed", int, 42),
+                eps_tail=eps_tail,
                 caps=caps,
-                cap_trip_threshold=float(entry.get("cap_trip_threshold", 0.0)),
+                cap_trip_threshold=_number(entry, "cap_trip_threshold", float, 0.0),
             )
         )
     return configs
@@ -334,37 +344,15 @@ def _parse_threshold_expr(expr: str, e: float) -> float:
     return factor * e + offset
 
 
-def _sweep_distribution(family: str, e: float, args):
-    if family == "two_point":
-        return distx.two_point(e)
-    if family == "constant":
-        return distx.constant(e)
-    if family == "adversarial_density":
-        return distx.adversarial_density(e)
-    if family == "fixed_t_counterexample":
-        if args.t is None:
-            raise ConfigError("family fixed_t_counterexample needs --t (e.g. --t 2E)")
-        return distx.fixed_t_counterexample(e, _parse_threshold_expr(args.t, e))
-    raise ConfigError(f"unknown sweep family {family!r}")
-
-
 def _sweep_schedule(token: str, ex: float, e: float):
+    """Build one --schedules token: kind, or kind:param for single_threshold (t) and luby (unit)."""
     kind, _, param = token.partition(":")
-    if kind == "fixed":
-        return schedules.fixed_schedule(ex)
-    if kind == "two_threshold":
-        return schedules.two_threshold_schedule(ex)
-    if kind == "specific_E":
-        return schedules.specific_e_schedule(max(ex, 5.0))
-    if kind == "universal":
-        return schedules.universal_schedule()
+    spec = {"kind": kind}
     if kind == "luby":
-        return schedules.luby_schedule(float(param) if param else 1.0)
-    if kind == "single_threshold":
-        if not param:
-            raise ConfigError("sweep single_threshold needs a parameter, e.g. single_threshold:2E")
-        return schedules.single_threshold_schedule(_parse_threshold_expr(param, e))
-    raise ConfigError(f"unknown sweep schedule {token!r}")
+        spec["unit"] = float(param) if param else 1.0
+    elif param:  # a kind other than single_threshold rejects the "param" field
+        spec["t" if kind == "single_threshold" else "param"] = _parse_threshold_expr(param, e)
+    return build_schedule(spec, default_ex=ex)
 
 
 def cmd_sweep(args) -> int:
@@ -373,11 +361,18 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a non-empty --schedules list")
     if args.e_stop < args.e_start:
         raise ConfigError("--e-stop must be >= --e-start")
+    if not args.e_step > 0.0:
+        raise ConfigError(f"--e-step must be positive, got {args.e_step!r}")
+    if not args.eps_tail > 0.0:
+        raise ConfigError(f"--eps-tail must be positive, got {args.eps_tail!r}")
     rows = []
     e = float(args.e_start)
     while e <= args.e_stop + 1e-12:
         try:
-            dist = _sweep_distribution(args.family, e, args)
+            spec = {"kind": args.family, "c" if args.family == "constant" else "E": e}
+            if args.t is not None:
+                spec["t"] = _parse_threshold_expr(args.t, e)
+            dist = build_distribution(spec)
             ex = expectation(dist)
             model = RuntimeModel(dist, args.law)
             scheds = [_sweep_schedule(token.strip(), ex, e) for token in tokens]

@@ -2,9 +2,9 @@
 
 Every schedule is a pure function of its parameters.  Budgets are kept as
 real numbers; any integer rounding needed by integer-step runtime laws
-happens at the engine boundary, never here.  Schedules expose both a
-per-attempt budget stream and a grouped (count, budget) run-length stream;
-the grouped form is what the exact cost oracle consumes.
+happens at the engine boundary, never here.  Schedules expose a per-attempt
+budget stream, a grouped (count, budget) run-length stream, and the same
+groups split into rounds; the rounds are what the exact cost oracle consumes.
 """
 
 from __future__ import annotations
@@ -26,24 +26,6 @@ _MIN_THRESHOLD = -700.0
 
 class ScheduleRangeError(ValueError):
     """A schedule parameter or materialized budget fell outside the guards."""
-
-
-@dataclass(frozen=True)
-class BudgetBlock:
-    """One round of the known-bound schedule: (count, budget) entries in order."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def num_attempts(self) -> int:
-        return sum(c for c, _ in self.entries)
-
-    def total_cost(self) -> float:
-        return math.fsum(c * b for c, b in self.entries)
-
-    def budgets(self) -> Iterator[float]:
-        for count, budget in self.entries:
-            for _ in range(count):
-                yield budget
 
 
 @dataclass(frozen=True)
@@ -71,24 +53,26 @@ class Schedule:
                 return v
         raise KeyError(name)
 
-    def groups(self) -> Iterator[tuple[int, float]]:
-        """Run-length encoded budget stream: (count, budget) pairs."""
+    def rounds(self) -> Iterator[tuple[tuple[int, float], ...]]:
+        """The budget stream in rounds of (count, budget) groups.
+
+        A round is the cycle for the cyclic kinds, the block budget_block(e)
+        for e = 5, 6, ... for "universal", and the single attempt
+        (1, unit * L_i) for "luby".
+        """
         if self.cycle is not None:
-            while True:
-                yield from self.cycle
+            yield from itertools.repeat(self.cycle)
         elif self.kind == "universal":
             for e in itertools.count(5):
-                if e > MAX_BLOCK_PARAM:
-                    raise ScheduleRangeError(
-                        f"universal schedule materialized past the E <= {MAX_BLOCK_PARAM} guard"
-                    )
-                yield from budget_block(float(e)).entries
-        elif self.kind == "luby":
+                yield budget_block(float(e))  # raises past the E <= MAX_BLOCK_PARAM guard
+        else:
             unit = self._param("unit")
             for i in itertools.count(1):
-                yield 1, unit * luby_value(i)
-        else:  # pragma: no cover - constructors only build known kinds
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+                yield ((1, unit * luby_value(i)),)
+
+    def groups(self) -> Iterator[tuple[int, float]]:
+        """Run-length encoded budget stream: (count, budget) pairs."""
+        return itertools.chain.from_iterable(self.rounds())
 
     def budgets(self) -> Iterator[float]:
         for count, budget in self.groups():
@@ -162,11 +146,12 @@ def two_threshold_schedule(ex: float) -> Schedule:
 
 
 # The universal schedule rebuilds the block for e = 5, 6, ... on every pass
-# over its budgets; BudgetBlock is immutable, so one instance per e is shared.
+# over its budgets; the tuple is immutable, so one instance per e is shared.
 # Exceptions are not cached, so an out-of-range e raises on every call.
 @functools.lru_cache(maxsize=512)
-def budget_block(e: float) -> BudgetBlock:
-    """One escalation round for a known bound e >= 5 on the mean of X.
+def budget_block(e: float) -> tuple[tuple[int, float], ...]:
+    """One escalation round for a known bound e >= 5 on the mean of X, as
+    (count, budget) pairs.
 
     For each step k of the shrink trace of e the block runs
     2*ceil((v[k-1]+2)^2 + 1) budgets of 2*exp(e - v[k]), then finishes with
@@ -181,13 +166,12 @@ def budget_block(e: float) -> BudgetBlock:
         count = 2 * math.ceil((values[k - 1] + 2.0) ** 2 + 1.0)
         entries.append((count, _checked_exp_budget(e - values[k])))
     entries.append((2, _checked_exp_budget(e + 10.0)))
-    return BudgetBlock(entries=tuple(entries))
+    return tuple(entries)
 
 
 def specific_e_schedule(e: float) -> Schedule:
     """Endless repetition of the budget block for a known bound e."""
-    block = budget_block(e)
-    return Schedule(kind="specific_E", params=(("E", float(e)),), cycle=block.entries)
+    return Schedule(kind="specific_E", params=(("E", float(e)),), cycle=budget_block(e))
 
 
 def universal_schedule() -> Schedule:

@@ -342,3 +342,73 @@ def test_fixed_threshold_slope_on_trap_family():
 def test_expected_runtime_helper():
     model = RuntimeModel(two_point(4.0), "geometric")
     assert expected_runtime(model) == pytest.approx(0.2 + 0.8 * math.exp(5.0), rel=1e-12)
+
+
+# (expected_cost, tail_bound, attempts_summed) of the unbounded scans at the
+# default eps_tail and attempt_cap, recorded before the universal and Luby
+# scans became one loop over Schedule.rounds(); they must not move by a bit.
+_SCAN_PINS = [
+        (two_point(1.0), "deterministic", universal_schedule(), (4.194528049465325, 0.0, 2)),
+        (two_point(1.0), "deterministic", luby_schedule(1.0), (2.165478181643644, 0.0, 15)),
+        (two_point(1.0), "deterministic", luby_schedule(4.0), (4.7986320123663315, 0.0, 3)),
+        (two_point(1.0), "geometric", universal_schedule(), (4.194528049465324, 0.0, 2)),
+        (two_point(1.0), "geometric", luby_schedule(1.0), (1.8317346850154734, 4.47729213612637e-07, 24)),
+        (two_point(1.0), "geometric", luby_schedule(4.0), (2.9987354056505686, 2.318277286685674e-07, 14)),
+        (two_point(4.0), "geometric", universal_schedule(), (118.93052728206129, 0.0, 2)),
+        (two_point(4.0), "geometric", luby_schedule(1.0), (6.671613793880576, 5.1505184415542065e-22, 255)),
+        (two_point(4.0), "geometric", luby_schedule(4.0), (20.496536156641426, 5.0229047664271947e-05, 78)),
+        (fixed_t_counterexample(5.0, 5.0), "geometric", universal_schedule(), (336.35732791061264, 0.0, 2)),
+        (fixed_t_counterexample(5.0, 5.0), "geometric", luby_schedule(1.0), (8.704085809953604, 2.2124986990012566e-36, 511)),
+        (fixed_t_counterexample(5.0, 5.0), "geometric", luby_schedule(4.0), (29.49892176690886, 4.995498391898204e-06, 127)),
+        (fixed_t_counterexample(5.0, 10.0), "deterministic", universal_schedule(), (27216.064415999008, 0.0, 2)),
+        (fixed_t_counterexample(5.0, 10.0), "deterministic", luby_schedule(1.0), (1.9486067976362087, 1.8388849404159303e-06, 30)),
+        (fixed_t_counterexample(5.0, 10.0), "deterministic", luby_schedule(4.0), (4.794427190704949, 7.355539761663721e-06, 30)),
+        (fixed_t_counterexample(10.0, 20.0), "geometric", universal_schedule(), (4577211.837505962, 1.6078295891071596e-104, 348)),
+        (fixed_t_counterexample(10.0, 20.0), "geometric", luby_schedule(1.0), (2.0462483292074154, 4.625377885857101e-06, 32)),
+        (fixed_t_counterexample(10.0, 20.0), "geometric", luby_schedule(4.0), (5.1849932982177, 1.850150608068102e-05, 32)),
+        (fixed_t_counterexample(10.0, 20.0), "deterministic", universal_schedule(), (4595899.209794183, 1.8575733867943973e-104, 348)),
+        (fixed_t_counterexample(10.0, 20.0), "deterministic", luby_schedule(1.0), (2.0462483311672903, 4.625378341086143e-06, 32)),
+        (fixed_t_counterexample(10.0, 20.0), "deterministic", luby_schedule(4.0), (5.184993324815744, 1.8501513364344573e-05, 32)),
+        (two_point(16.0), "geometric", universal_schedule(), (9261694.228596887, 0.009291079487631772, 348)),
+        (fixed_t_counterexample(20.0, 40.0), "deterministic", universal_schedule(), (4745035.986235101, 8.847413043285821e-101, 348)),
+        (fixed_t_counterexample(20.0, 40.0), "deterministic", luby_schedule(1.0), (2.1027781228066234, 5.3691522346865544e-06, 33)),
+        (fixed_t_counterexample(20.0, 40.0), "deterministic", luby_schedule(4.0), (5.411112491381106, 2.1476608938746218e-05, 33)),
+        (adversarial_density(5.0), "geometric", universal_schedule(), (202.71439674636747, 0.0, 2)),
+        (adversarial_density(5.0), "geometric", luby_schedule(1.0), (80.13394781790622, 0.0007435038876474849, 519)),
+        (adversarial_density(5.0), "geometric", luby_schedule(4.0), (93.21732878298997, 0.00024622402900640103, 197)),
+        (variance_counterexample(5.0, 10.0), "deterministic", universal_schedule(), (902.2868901908497, 1.6772771020411924e-09, 348)),
+        (variance_counterexample(5.0, 10.0), "deterministic", luby_schedule(1.0), (487.27381637170055, 5.647793208664182e-05, 1022)),
+        (variance_counterexample(5.0, 10.0), "deterministic", luby_schedule(4.0), (1039.1918603936153, 6.592639557465349e-07, 255)),
+        (variance_counterexample(5.0, 10.0), "geometric", universal_schedule(), (902.2867950524263, 4.353823670062739e-14, 348)),
+        (variance_counterexample(5.0, 10.0), "geometric", luby_schedule(1.0), (106.62130428548019, 0.0005747488554457656, 645)),
+        (variance_counterexample(5.0, 10.0), "geometric", luby_schedule(4.0), (131.72300956517176, 0.00015933163431352886, 252)),
+        (constant(0.0), "deterministic", universal_schedule(), (1.0, 0.0, 2)),
+        (constant(0.0), "deterministic", luby_schedule(1.0), (1.0, 0.0, 1)),
+        (constant(0.0), "deterministic", luby_schedule(4.0), (1.0, 0.0, 1)),
+        (constant(1.0), "geometric", universal_schedule(), (2.718281828459045, 0.0, 2)),
+        (constant(1.0), "geometric", luby_schedule(1.0), (2.7182818283399515, 1.7477273267784201e-07, 28)),
+        (constant(1.0), "geometric", luby_schedule(4.0), (2.718281828339951, 1.0120620150065088e-07, 8)),
+        (constant(5.0), "geometric", universal_schedule(), (148.4131591025766, 0.0, 2)),
+        (constant(5.0), "geometric", luby_schedule(1.0), (148.4131590879532, 0.0006903537642960515, 797)),
+        (constant(5.0), "geometric", luby_schedule(4.0), (148.41315909812718, 6.590049270753538e-05, 254)),
+]
+
+
+@pytest.mark.parametrize("dist, law, schedule, expected", _SCAN_PINS)
+def test_unbounded_scan_enclosures_are_bit_identical(dist, law, schedule, expected):
+    est = analytic_cost(RuntimeModel(dist, law), schedule)
+    assert repr((est.expected_cost, est.tail_bound, est.attempts_summed)) == repr(expected)
+
+
+def test_universal_certificate_is_tried_before_the_attempt_cap():
+    # The scan passes the cap after the E = 6 block, but survival is already
+    # below eps_tail there and the E = 7 block's closing pair certifies the
+    # tail, so the enclosure is returned instead of TailNotConvergent.
+    est = analytic_cost(
+        RuntimeModel(two_point(16.0), "deterministic"),
+        universal_schedule(),
+        eps_tail=1e-4,
+        attempt_cap=3,
+    )
+    expected = (11944975.585774494, 0.06647820696049571, 348)
+    assert repr((est.expected_cost, est.tail_bound, est.attempts_summed)) == repr(expected)

@@ -97,6 +97,22 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--config", str(notjson)]) == 2
     bad = write_config(tmp_path, {**BASIC, "law": "quantum"}, name="badlaw.json")
     assert main(["analyze", "--config", bad]) == 2
+    for field, value in [
+        ("trials", "many"),
+        ("trials", None),
+        ("seed", None),
+        ("seed", "x"),
+        ("eps_tail", "tiny"),
+        ("eps_tail", None),
+        ("eps_tail", 0.0),
+        ("eps_tail", -1e-10),
+        ("cap_trip_threshold", "half"),
+        ("caps", {"max_attempts": "lots"}),
+        ("caps", {"max_total_cost": None}),
+    ]:
+        bad = write_config(tmp_path, {**BASIC, field: value}, name="badvalue.json")
+        for command in ("analyze", "simulate"):
+            assert main([command, "--config", bad]) == 2, (field, value, command)
     capsys.readouterr()
 
 
@@ -288,6 +304,22 @@ def test_sweep_empty_schedules_is_config_error(capsys):
         == 2
     )
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--schedules", "fixed", "--e-step", "0"],
+        ["--schedules", "fixed", "--e-step=-1"],
+        ["--schedules", "fixed", "--eps-tail", "0"],
+        ["--schedules", "fixed", "--eps-tail=-1e-4"],
+        ["--schedules", "fixed:7"],
+    ],
+)
+def test_sweep_bad_arguments_are_config_errors(extra, capsys):
+    argv = ["sweep", "--family", "two_point", "--e-start", "5", "--e-stop", "6"]
+    assert main(argv + extra) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_sweep_range_guard_maps_to_config_error(capsys):

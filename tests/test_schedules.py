@@ -71,14 +71,14 @@ def test_two_threshold_block_for_mean_one():
 
 def test_budget_block_five_has_only_the_closing_pair():
     block = budget_block(5.0)
-    assert block.entries == ((2, pytest.approx(2.0 * math.exp(15.0), rel=1e-15)),)
+    assert block == ((2, pytest.approx(2.0 * math.exp(15.0), rel=1e-15)),)
 
 
 def test_budget_block_six_counts_and_budgets():
     block = budget_block(6.0)
-    counts = [c for c, _ in block.entries]
+    counts = [c for c, _ in block]
     assert counts == [130, 112, 102, 2]
-    exponents = [math.log(b / 2.0) for _, b in block.entries]
+    exponents = [math.log(b / 2.0) for _, b in block]
     assert exponents[:3] == pytest.approx([0.625, 0.954, 1.144], abs=1.1e-3)
     assert exponents[3] == pytest.approx(16.0, abs=1e-12)
 
@@ -104,13 +104,13 @@ def test_budget_block_out_of_range_raises_on_every_call():
 
 def test_budget_block_counts_are_even_and_at_least_two():
     for e in (5.0, 6.0, 10.5, 20.0, 50.0):
-        for count, _ in budget_block(e).entries:
+        for count, _ in budget_block(e):
             assert count >= 2 and count % 2 == 0
 
 
 def test_budget_block_budgets_increase_within_block():
     for e in (6.0, 10.0, 30.0, 100.0):
-        budgets = [b for _, b in budget_block(e).entries]
+        budgets = [b for _, b in budget_block(e)]
         assert budgets == sorted(budgets)
         assert all(b2 > b1 for b1, b2 in zip(budgets, budgets[1:]))
 
@@ -118,13 +118,13 @@ def test_budget_block_budgets_increase_within_block():
 def test_budget_block_total_cost_bound():
     for e in range(5, 51):
         block = budget_block(float(e))
-        assert block.total_cost() <= 10.0 * math.exp(e + 10.0)
+        assert math.fsum(c * b for c, b in block) <= 10.0 * math.exp(e + 10.0)
 
 
 def test_budget_block_matches_generating_formula():
     for e in (7.0, 13.0, 42.0):
         values = starfn.shrink_trace(e).values
-        entries = budget_block(e).entries
+        entries = budget_block(e)
         assert len(entries) == len(values)
         for k in range(1, len(values)):
             count, budget = entries[k - 1]
@@ -147,7 +147,7 @@ def test_universal_prefix():
     first = 2.0 * math.exp(15.0)
     assert u.budget(1) == first
     assert u.budget(2) == first
-    assert u.budget(3) == pytest.approx(budget_block(6.0).entries[0][1], rel=1e-15)
+    assert u.budget(3) == pytest.approx(budget_block(6.0)[0][1], rel=1e-15)
     assert u.budget(1) == pytest.approx(6.538e6, rel=1e-3)
 
 
@@ -169,7 +169,7 @@ def test_universal_cumulative_prefix_cost_stays_geometric():
     factor = (4.0 * math.exp(10.0) + 17.0) / (math.e - 1.0)
     for e in range(5, 61):
         assert cum <= factor * math.exp(e)
-        cum += budget_block(float(e)).total_cost()
+        cum += math.fsum(c * b for c, b in budget_block(float(e)))
 
 
 def test_universal_range_guard_when_materialized_too_far():
