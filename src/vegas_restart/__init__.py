@@ -22,6 +22,7 @@ from .analysis import (
 )
 from .distx import (
     DistX,
+    IntegrationLimitError,
     RuntimeModel,
     adversarial_density,
     build_distribution,

