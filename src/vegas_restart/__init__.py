@@ -14,6 +14,7 @@ from .analysis import (
     analytic_cost,
     block_success_prob,
     check_block_coverage,
+    check_block_success,
     check_two_phase_coverage,
     expected_runtime,
     find_threshold_witness,

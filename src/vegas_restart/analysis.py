@@ -30,6 +30,9 @@ ALG3_BOUND_CONSTANT = 2.0
 ALG4_BOUND_CONSTANT = 12.0 * math.exp(10.0)
 ALG5_BOUND_CONSTANT = 400.0
 
+# Corollary 10's lower bound on the success probability of one escalation block.
+COR10_SUCCESS_FLOOR = 0.75
+
 # Any single escalation block for bound E costs at most this factor times
 # exp(E): the closing pair contributes 4*exp(10)*exp(E), and the k-th entry
 # costs 4*ceil((v+2)^2+1)*exp(E)/v'^3 <= 8.4*exp(E)/v for trace values
@@ -222,18 +225,6 @@ def expected_runtime(model: RuntimeModel) -> float:
 _GRID_POINTS = 10_001
 
 
-def _cdf_strict_vec(dist: DistX, ts: np.ndarray) -> np.ndarray:
-    if dist.family == "adversarial_density":
-        a, t_max = distx._adv_consts(dist)
-        out = np.clip(np.exp(ts - (dist.E + 1.0)) - a, 0.0, 1.0)
-        out[ts <= 0.0] = 0.0
-        out[ts >= t_max] = 1.0
-        return out
-    xs = np.array([x for x, _ in dist.atoms])
-    cum = np.concatenate([[0.0], np.cumsum([p for _, p in dist.atoms])])
-    return cum[np.searchsorted(xs, ts, side="left")]
-
-
 def _threshold_candidates(dist: DistX, t_lo: float, t_hi: float) -> np.ndarray:
     """Grid plus just-above-atom (and support-edge) probe points in [t_lo, t_hi]."""
     delta = 1e-9 * (1.0 + expectation(dist))
@@ -251,7 +242,7 @@ def _threshold_candidates(dist: DistX, t_lo: float, t_hi: float) -> np.ndarray:
 def _min_log_ratio(dist: DistX, t_lo: float, t_hi: float):
     """Minimize t - ln Pr(X < t) over the candidate set; None if Pr is 0 throughout."""
     ts = _threshold_candidates(dist, t_lo, t_hi)
-    probs = _cdf_strict_vec(dist, ts)
+    probs = cdf_strict(dist, ts)
     mask = probs > 0.0
     if not mask.any():
         return None
@@ -324,13 +315,13 @@ def check_block_coverage(dist: DistX, e: float) -> LemmaVerdict:
     """
     e = _require_upper_bound(dist, e)
     values = starfn.shrink_trace(e).values
+    # Pr(X < e - v[k]) for every step k, then Pr(X < e + 10), in one call.
+    lhs = cdf_strict(dist, [e - v for v in values[1:]] + [e + 10.0]).tolist()
     for k in range(1, len(values)):
-        lhs = cdf_strict(dist, e - values[k])
         rhs = 1.0 / ((values[k - 1] + 2.0) ** 2 + 1.0)
-        if lhs >= rhs:
-            return LemmaVerdict("lemma9", True, k, lhs - rhs)
-    lhs = cdf_strict(dist, e + 10.0)
-    return LemmaVerdict("lemma9", lhs >= 0.5, "tail", lhs - 0.5)
+        if lhs[k - 1] >= rhs:
+            return LemmaVerdict("lemma9", True, k, lhs[k - 1] - rhs)
+    return LemmaVerdict("lemma9", lhs[-1] >= 0.5, "tail", lhs[-1] - 0.5)
 
 
 def block_success_prob(model: RuntimeModel, e: float) -> float:
@@ -343,3 +334,10 @@ def block_success_prob(model: RuntimeModel, e: float) -> float:
             return 1.0
         log_fail += count * math.log(q)
     return -math.expm1(log_fail)
+
+
+def check_block_success(model: RuntimeModel, e: float) -> LemmaVerdict:
+    """Corollary 10: for a bound e >= max(E[X], 5), one escalation block
+    completes a run with probability at least COR10_SUCCESS_FLOOR."""
+    prob = block_success_prob(model, e)
+    return LemmaVerdict("cor10", prob >= COR10_SUCCESS_FLOOR, None, prob - COR10_SUCCESS_FLOOR)

@@ -190,20 +190,12 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None) 
         sys.stdout.write(text)
 
 
-def _checker_verdicts(dist, model) -> str:
-    parts = []
-    verdict = analysis.find_threshold_witness(dist)
-    parts.append(f"lemma3:{'ok' if verdict.holds else 'FAIL'}")
-    if expectation(dist) >= 1.0:
-        verdict = analysis.check_two_phase_coverage(dist)
-        parts.append(f"lemma5:{'ok' if verdict.holds else 'FAIL'}")
-    else:
-        parts.append("lemma5:skip")
-    verdict = analysis.check_block_coverage(dist, max(expectation(dist), 5.0))
-    parts.append(f"lemma9:{'ok' if verdict.holds else 'FAIL'}")
-    prob = analysis.block_success_prob(model, max(expectation(dist), 5.0))
-    parts.append(f"cor10:{'ok' if prob >= 0.75 else 'FAIL'}")
-    return ";".join(parts)
+def _verdict_tokens(model) -> str:
+    """The verdicts column: lemma3:ok;lemma5:skip;... from verify.model_verdicts."""
+    return ";".join(
+        f"{name}:{'skip' if v is None else 'ok' if v.holds else 'FAIL'}"
+        for name, v in verify.model_verdicts(model).items()
+    )
 
 
 def _base_row(cfg: ExperimentConfig, dist, model, sched) -> dict:
@@ -236,16 +228,20 @@ def _resolve(cfg: ExperimentConfig):
     return dist, model, sched
 
 
-def cmd_analyze(args) -> int:
-    configs = _load_config_file(args.config)
-    rows = []
-    infinite_required_finite = False
-    for cfg in configs:
+def _resolved_configs(args):
+    """Each config of --config with --seed/--trials applied, resolved in turn."""
+    for cfg in _load_config_file(args.config):
         if args.seed is not None:
             cfg.seed = args.seed
         if args.trials is not None:
             cfg.trials = args.trials
-        dist, model, sched = _resolve(cfg)
+        yield (cfg, *_resolve(cfg))
+
+
+def cmd_analyze(args) -> int:
+    rows = []
+    infinite_required_finite = False
+    for cfg, dist, model, sched in _resolved_configs(args):
         est = analytic_cost(model, sched, eps_tail=cfg.eps_tail)
         row = _base_row(cfg, dist, model, sched)
         row["analytic_cost"] = est.expected_cost
@@ -259,7 +255,7 @@ def cmd_analyze(args) -> int:
             log_cost = math.log(est.expected_cost) if est.expected_cost > 0.0 else -math.inf
             row["log_cost"] = log_cost
             row["ratio"] = math.exp(log_cost - row["EX"])
-        row["verdicts"] = _checker_verdicts(dist, model)
+        row["verdicts"] = _verdict_tokens(model)
         rows.append(row)
     _emit(_sort_rows(rows), RESULT_COLUMNS, args.format, args.out)
     if infinite_required_finite:
@@ -269,15 +265,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    configs = _load_config_file(args.config)
+    try:
+        workers = engine.resolve_workers()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = []
     tripped = False
-    for cfg in configs:
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.trials is not None:
-            cfg.trials = args.trials
-        dist, model, sched = _resolve(cfg)
+    for cfg, dist, model, sched in _resolved_configs(args):
         caps = cfg.caps or default_caps(e_hint=distx.support_max(dist))
         estimate = mc_expected_cost(
             SamplerProcess(model),
@@ -286,6 +280,7 @@ def cmd_simulate(args) -> int:
             seed=cfg.seed,
             caps=caps,
             on_cap="count",
+            workers=workers,
         )
         row = _base_row(cfg, dist, model, sched)
         row["mc_mean"] = estimate.mean
@@ -359,6 +354,8 @@ def cmd_sweep(args) -> int:
     tokens = [t for t in (args.schedules or "").split(",") if t.strip()]
     if not tokens:
         raise ConfigError("sweep needs a non-empty --schedules list")
+    if not (math.isfinite(args.e_start) and math.isfinite(args.e_stop)):
+        raise ConfigError(f"sweep range must be finite, got {args.e_start!r} to {args.e_stop!r}")
     if args.e_stop < args.e_start:
         raise ConfigError("--e-stop must be >= --e-start")
     if not args.e_step > 0.0:
@@ -403,44 +400,25 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    failures = 0
-
     coin_dist = distx.constant(math.log(2.0))
-    coin_sched = schedules.single_threshold_schedule(math.log(3.0))
-    oracle = analytic_cost(RuntimeModel(coin_dist, "geometric"), coin_sched)
-    estimate = mc_expected_cost(
-        engine.geometric_coin_process(coin_dist),
-        coin_sched,
-        trials=args.trials,
-        seed=args.seed,
+    demos = (  # (name, stepped process, its runtime model, threshold)
+        ("geometric_coin[c=ln2]", engine.geometric_coin_process(coin_dist),
+         RuntimeModel(coin_dist, "geometric"), math.log(3.0)),
+        ("bitstring_guess[k=8]", engine.bitstring_guess_process(8),
+         engine.bitstring_guess_model(8), math.log(300.0)),
     )
-    gap = abs(estimate.mean - oracle.expected_cost)
-    ok = gap <= 5.0 * estimate.std_error
-    failures += 0 if ok else 1
-    print(
-        f"geometric_coin[c=ln2] vs oracle: mc={estimate.mean:.4f}"
-        f" se={estimate.std_error:.4f} oracle={oracle.expected_cost:.4f}"
-        f" -> {'PASS' if ok else 'FAIL'}"
-    )
-
-    k = 8
-    guess_sched = schedules.single_threshold_schedule(math.log(300.0))
-    guess_model = engine.bitstring_guess_model(k)
-    oracle = analytic_cost(guess_model, guess_sched)
-    estimate = mc_expected_cost(
-        engine.bitstring_guess_process(k),
-        guess_sched,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    gap = abs(estimate.mean - oracle.expected_cost)
-    ok = gap <= 5.0 * estimate.std_error
-    failures += 0 if ok else 1
-    print(
-        f"bitstring_guess[k={k}] vs oracle: mc={estimate.mean:.4f}"
-        f" se={estimate.std_error:.4f} oracle={oracle.expected_cost:.4f}"
-        f" -> {'PASS' if ok else 'FAIL'}"
-    )
+    failures = 0
+    for name, process, model, threshold in demos:
+        sched = schedules.single_threshold_schedule(threshold)
+        oracle = analytic_cost(model, sched)
+        estimate = mc_expected_cost(process, sched, trials=args.trials, seed=args.seed)
+        ok = abs(estimate.mean - oracle.expected_cost) <= 5.0 * estimate.std_error
+        failures += 0 if ok else 1
+        print(
+            f"{name} vs oracle: mc={estimate.mean:.4f}"
+            f" se={estimate.std_error:.4f} oracle={oracle.expected_cost:.4f}"
+            f" -> {'PASS' if ok else 'FAIL'}"
+        )
     return 1 if failures else 0
 
 

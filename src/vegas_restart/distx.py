@@ -247,25 +247,30 @@ def support_max(dist: DistX) -> float:
     return dist.atoms[-1][0]
 
 
-def cdf_strict(dist: DistX, t: float) -> float:
-    """Pr(X < t), strictly below t."""
-    t = float(t)
+def _cdf(dist: DistX, t, side: str) -> float | np.ndarray:
+    ts = np.asarray(t, dtype=float)
     if dist.family == "adversarial_density":
         a, t_max = _adv_consts(dist)
-        if t <= 0.0:
-            return 0.0
-        if t >= t_max:
-            return 1.0
-        return min(1.0, math.exp(t - (dist.E + 1.0)) - a)
-    return math.fsum(p for x, p in dist.atoms if x < t)
+        # Past t_max the value is 1; the minimum keeps exp from overflowing.
+        out = np.clip(np.exp(np.minimum(ts, t_max) - (dist.E + 1.0)) - a, 0.0, 1.0)
+        out = np.where(ts <= 0.0, 0.0, np.where(ts >= t_max, 1.0, out))
+    else:
+        # Pr(X < x_i) for each atom, and 1 past the last; fsum keeps every
+        # prefix exact.
+        probs = [p for _, p in dist.atoms]
+        prefix = np.array([math.fsum(probs[:i]) for i in range(len(probs) + 1)])
+        out = prefix[np.searchsorted([x for x, _ in dist.atoms], ts, side=side)]
+    return float(out) if out.ndim == 0 else out
 
 
-def cdf(dist: DistX, t: float) -> float:
-    """Pr(X <= t), inclusive of an atom at t."""
-    t = float(t)
-    if dist.family == "adversarial_density":
-        return cdf_strict(dist, t)
-    return math.fsum(p for x, p in dist.atoms if x <= t)
+def cdf_strict(dist: DistX, t: float | np.ndarray) -> float | np.ndarray:
+    """Pr(X < t), strictly below t, for a scalar t or elementwise over an array."""
+    return _cdf(dist, t, "left")
+
+
+def cdf(dist: DistX, t: float | np.ndarray) -> float | np.ndarray:
+    """Pr(X <= t), inclusive of an atom at t, for a scalar or an array."""
+    return _cdf(dist, t, "right")
 
 
 def expectation(dist: DistX) -> float:

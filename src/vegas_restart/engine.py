@@ -107,6 +107,17 @@ class ResumableProcess:
     label: str = "resumable"
 
 
+def _first_hit(rng: CounterStream, n: int, hit) -> tuple[bool, int]:
+    """Draw one uniform per step, in chunks of _CHUNK, until hit(draw) holds or
+    n steps are spent; returns (done, steps consumed)."""
+    n = int(n)
+    for start in range(0, n, _CHUNK):
+        hits = hit(rng.random(min(_CHUNK, n - start)))
+        if hits.any():
+            return True, start + int(np.argmax(hits)) + 1
+    return False, max(n, 0)
+
+
 class GeometricCoinRun:
     """Stepped run that succeeds each step with probability exp(-X).
 
@@ -119,17 +130,7 @@ class GeometricCoinRun:
         self._rng = rng
 
     def advance(self, n: int) -> tuple[bool, int]:
-        consumed = 0
-        remaining = int(n)
-        while remaining > 0:
-            take = min(_CHUNK, remaining)
-            flips = self._rng.random(take) < self._p
-            hit = int(np.argmax(flips)) if flips.any() else -1
-            if hit >= 0:
-                return True, consumed + hit + 1
-            consumed += take
-            remaining -= take
-        return False, consumed
+        return _first_hit(self._rng, n, lambda u: u < self._p)
 
 
 def geometric_coin_process(dist: DistX) -> ResumableProcess:
@@ -152,18 +153,9 @@ class BitstringGuessRun:
         self._rng = rng
 
     def advance(self, n: int) -> tuple[bool, int]:
-        consumed = 0
-        remaining = int(n)
-        while remaining > 0:
-            take = min(_CHUNK, remaining)
-            guesses = (self._rng.random(take) * self._space).astype(np.int64)
-            hits = guesses == self._target
-            hit = int(np.argmax(hits)) if hits.any() else -1
-            if hit >= 0:
-                return True, consumed + hit + 1
-            consumed += take
-            remaining -= take
-        return False, consumed
+        return _first_hit(
+            self._rng, n, lambda u: (u * self._space).astype(np.int64) == self._target
+        )
 
 
 def bitstring_guess_process(k: int) -> ResumableProcess:
@@ -255,9 +247,14 @@ def _trace(trace):
     return tuple(trace) if trace is not None else None
 
 
-def _resolve_workers(workers: int | None) -> int:
+def resolve_workers(workers: int | None = None) -> int:
+    """The worker count: workers if given, else VEGAS_RESTART_THREADS (default 1)."""
     if workers is None:
-        workers = int(os.environ.get("VEGAS_RESTART_THREADS", "1") or "1")
+        raw = os.environ.get("VEGAS_RESTART_THREADS", "1") or "1"
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"VEGAS_RESTART_THREADS must be an integer, got {raw!r}") from None
     return max(1, int(workers))
 
 
@@ -298,7 +295,7 @@ def mc_expected_cost(
                 costs[trial] = exc.report.total_cost
                 capped[trial] = True
 
-    n_workers = _resolve_workers(workers)
+    n_workers = resolve_workers(workers)
     if n_workers == 1:
         run_range(0, trials)
     else:

@@ -17,9 +17,10 @@ from .analysis import (
     ALG3_BOUND_CONSTANT,
     ALG4_BOUND_CONSTANT,
     ALG5_BOUND_CONSTANT,
+    LemmaVerdict,
     analytic_cost,
-    block_success_prob,
     check_block_coverage,
+    check_block_success,
     check_two_phase_coverage,
     expected_runtime,
     find_threshold_witness,
@@ -141,10 +142,24 @@ def verify_lemma9() -> list[VerdictRow]:
 def verify_cor10() -> list[VerdictRow]:
     rows = []
     for model in zoo_models():
-        e = max(expectation(model.dist), 5.0)
-        prob = block_success_prob(model, e)
-        rows.append(_row("cor10", f"block_success {model.label}", prob >= 0.75, prob - 0.75))
+        verdict = check_block_success(model, max(expectation(model.dist), 5.0))
+        rows.append(_row("cor10", f"block_success {model.label}", verdict.holds, verdict.margin))
     return rows
+
+
+def model_verdicts(model: RuntimeModel) -> dict[str, LemmaVerdict | None]:
+    """Lemma 3, 5, 9 and corollary 10 verdicts of one model at E = max(E[X], 5);
+    None where the precondition fails (lemma 5 needs E[X] >= 1, corollary 10
+    a block bound E <= MAX_BLOCK_PARAM)."""
+    dist = model.dist
+    ex = expectation(dist)
+    e = max(ex, 5.0)
+    return {
+        "lemma3": find_threshold_witness(dist),
+        "lemma5": check_two_phase_coverage(dist) if ex >= 1.0 else None,
+        "lemma9": check_block_coverage(dist, e),
+        "cor10": check_block_success(model, e) if e <= schedules.MAX_BLOCK_PARAM else None,
+    }
 
 
 def _bounds_zoo() -> list[RuntimeModel]:

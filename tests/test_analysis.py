@@ -301,6 +301,16 @@ def test_block_success_prob_zoo_wide():
         assert block_success_prob(model, e) >= 0.75, model.label
 
 
+def test_block_success_verdict_reports_margin_over_three_quarters():
+    for model in zoo_models():
+        e = max(expectation(model.dist), 5.0)
+        prob = block_success_prob(model, e)
+        verdict = analysis.check_block_success(model, e)
+        assert verdict.check == "cor10"
+        assert verdict.holds == (prob >= 0.75)
+        assert verdict.margin == prob - 0.75
+
+
 # ---------------------------------------------------------------------------
 # Strategy cost guarantees (spot checks; the sweep lives in the verify suite)
 

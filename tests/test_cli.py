@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from vegas_restart import cli, schedules, starfn
+from vegas_restart import analysis, cli, distx, schedules, starfn
 from vegas_restart.cli import RESULT_COLUMNS, main
 
 
@@ -41,6 +41,58 @@ def test_analyze_basic_row(tmp_path, capsys):
     assert float(row["EX"]) == 4.0
     assert float(row["ratio"]) == pytest.approx(9.0 / math.exp(4.0), rel=1e-6)
     assert row["verdicts"] == "lemma3:ok;lemma5:ok;lemma9:ok;cor10:ok"
+
+
+def _zoo_spec(dist):
+    params = dict(dist.params)
+    if dist.kind == "constant":
+        return {"kind": "constant", "c": params["c"]}
+    return {"kind": dist.kind, **params}
+
+
+def test_analyze_verdicts_agree_with_the_checkers(tmp_path, capsys):
+    models = distx.zoo_models()
+    configs = [
+        {"distribution": _zoo_spec(m.dist), "law": m.law, "schedule": {"kind": "fixed"},
+         "mode": "analyze"}
+        for m in models
+    ]
+    assert main(["analyze", "--config", write_config(tmp_path, configs)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    verdicts = {(row["distribution"], row["law"]): row["verdicts"] for row in rows}
+    assert set(verdicts) == {(m.dist.label, m.law) for m in models}
+    for model in models:
+        dist = model.dist
+        ex = distx.expectation(dist)
+        e = max(ex, 5.0)
+        expected = {
+            "lemma3": analysis.find_threshold_witness(dist).holds,
+            "lemma5": analysis.check_two_phase_coverage(dist).holds if ex >= 1.0 else None,
+            "lemma9": analysis.check_block_coverage(dist, e).holds,
+            "cor10": analysis.check_block_success(model, e).holds,
+        }
+        tokens = dict(t.split(":") for t in verdicts[(dist.label, model.law)].split(";"))
+        assert list(tokens) == list(expected)
+        for name, holds in expected.items():
+            want = "skip" if holds is None else ("ok" if holds else "FAIL")
+            assert tokens[name] == want, (model.label, name)
+        assert (tokens["lemma5"] == "skip") == (ex < 1.0), model.label
+
+
+def test_analyze_cor10_skips_past_the_block_guard(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "distribution": {"kind": "constant", "c": 285},
+            "law": "deterministic",
+            "schedule": {"kind": "single_threshold", "t": 286},
+            "mode": "analyze",
+        },
+    )
+    assert main(["analyze", "--config", cfg]) == 0
+    row = list(csv.DictReader(capsys.readouterr().out.splitlines()))[0]
+    assert float(row["analytic_cost"]) == pytest.approx(math.exp(285.0), rel=1e-12)
+    assert row["verdicts"] == "lemma3:ok;lemma5:ok;lemma9:ok;cor10:skip"
 
 
 def test_analyze_infinite_cost_exit_code(tmp_path, capsys):
@@ -170,6 +222,15 @@ def test_simulate_worker_env_does_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("VEGAS_RESTART_THREADS", "4")
     assert main(["simulate", "--config", cfg, "--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_simulate_bad_worker_env_is_config_error(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, BASIC)
+    monkeypatch.setenv("VEGAS_RESTART_THREADS", "abc")
+    assert main(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "VEGAS_RESTART_THREADS" in captured.err
 
 
 def test_simulate_degenerate_process(tmp_path):
@@ -322,6 +383,8 @@ def test_sweep_empty_schedules_is_config_error(capsys):
         ["--schedules", "fixed", "--eps-tail", "0"],
         ["--schedules", "fixed", "--eps-tail=-1e-4"],
         ["--schedules", "fixed:7"],
+        ["--schedules", "fixed", "--e-start", "nan"],
+        ["--schedules", "fixed", "--e-stop", "nan"],
     ],
 )
 def test_sweep_bad_arguments_are_config_errors(extra, capsys):

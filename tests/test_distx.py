@@ -129,6 +129,29 @@ def test_cdf_strict_nondecreasing():
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+def test_cdf_over_an_array_matches_scalar_calls():
+    for d in zoo_distributions():
+        ts = np.concatenate(
+            [np.linspace(-1.0, distx.support_max(d) + 2.0, 97), [x for x, _ in d.atoms]]
+        )
+        for fn in (cdf_strict, cdf):
+            vals = fn(d, ts)
+            assert vals.shape == ts.shape
+            assert vals.tolist() == [fn(d, t) for t in ts]
+            assert all(type(fn(d, t)) is float for t in ts[:3])
+
+
+def test_cdf_atom_prefixes_are_exact_sums():
+    d = discrete([(float(i), 0.1) for i in range(10)])
+    # A running float sum reads 0.7999999999999999 and 0.9999999999999999 here.
+    assert cdf(d, 7.0) == 0.8
+    assert cdf_strict(d, 9.0) == 0.9
+    assert cdf(d, 9.0) == 1.0
+    for x, _ in d.atoms:
+        assert cdf(d, x) == math.fsum(p for y, p in d.atoms if y <= x)
+        assert cdf_strict(d, x) == math.fsum(p for y, p in d.atoms if y < x)
+
+
 def test_expectation_examples():
     assert expectation(constant(7.0)) == 7.0
     assert expectation(two_point(4.0)) == pytest.approx(4.0, abs=1e-12)
