@@ -137,9 +137,9 @@ def _cyclic_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     return CostEstimate(partial, tail, n_cycles * cycle_attempts)
 
 
-def _universal_tail(model, schedule, rounds_done, survival):
+def _universal_tail(stats, schedule, rounds_done, survival):
     e = 5 + rounds_done  # bound of the next block
-    q_close, _ = runtime_stats(model, 2.0 * math.exp(e + 10.0))
+    q_close, _ = stats(2.0 * math.exp(e + 10.0))
     if q_close <= 0.5:
         # Every later block for bound e' >= e has survival factor at most
         # q_close**2 (its two closing attempts, and q is nonincreasing in the
@@ -150,13 +150,13 @@ def _universal_tail(model, schedule, rounds_done, survival):
     return None
 
 
-def _luby_tail(model, schedule, rounds_done, survival):
+def _luby_tail(stats, schedule, rounds_done, survival):
     if rounds_done == 0:
         return None
     unit = dict(schedule.params)["unit"]
     # L_1..L_n peak at 2**(k-1) with k = floor(log2(n + 1)).
     mult = float(1 << ((rounds_done + 1).bit_length() - 2))
-    q_peak, _ = runtime_stats(model, unit * mult)
+    q_peak, _ = stats(unit * mult)
     if q_peak <= 0.5:
         # Peaks of height >= the peak so far recur with index gaps at most
         # twice the peak multiplier; between the k-th and (k+1)-th future
@@ -170,30 +170,45 @@ def _luby_tail(model, schedule, rounds_done, survival):
 
 
 # Remainder bounds for the unbounded kinds, tried at the top of each round
-# once the survival product is below eps_tail: (model, schedule, rounds done,
-# survival) -> tail bound, or None if the bound does not close yet.
+# once the survival product is below eps_tail: (budget -> runtime_stats, schedule,
+# rounds done, survival) -> tail bound, or None if the bound does not close yet.
 _TAIL_CERTIFICATES = {"universal": _universal_tail, "luby": _luby_tail}
 
 
 def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     tail_certificate = _TAIL_CERTIFICATES[schedule.kind]
+    # Per-call memos (2**k Luby attempts use k + 1 budgets): runtime_stats per
+    # budget, and (partial sum, survival factor) per (count, budget) group.
+    stats_memo = {}
+    group_memo = {}
+
+    def stats(budget):
+        if budget not in stats_memo:
+            stats_memo[budget] = runtime_stats(model, budget)
+        return stats_memo[budget]
+
     survival = 1.0
     total = 0.0
     attempts = 0
     for rounds_done, groups in enumerate(schedule.rounds()):
         if survival <= eps_tail:
-            tail = tail_certificate(model, schedule, rounds_done, survival)
+            tail = tail_certificate(stats, schedule, rounds_done, survival)
             if tail is not None:
                 return CostEstimate(total, tail, attempts)
         if attempts > attempt_cap:
             raise TailNotConvergent(
                 f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
             )
-        for count, budget in groups:
-            count, budget, q, m, _hopeless = _eval_group(model, count, budget)
-            total += survival * _group_partial(q, count, m)
-            survival *= q**count
-            attempts += count
+        for group in groups:
+            if group not in group_memo:
+                count, budget = group
+                q, m = stats(budget)
+                q = 1.0 if distx.success_impossible(model, budget) else q
+                group_memo[group] = _group_partial(q, count, m), q**count
+            partial, factor = group_memo[group]
+            total += survival * partial
+            survival *= factor
+            attempts += group[0]
             if survival <= 0.0:
                 return CostEstimate(total, 0.0, attempts)
     raise RuntimeError("unreachable: schedules are infinite")

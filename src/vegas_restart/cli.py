@@ -131,8 +131,6 @@ def parse_config(obj) -> list[ExperimentConfig]:
                 max_total_cost=_number(caps_obj, "max_total_cost", float, Caps.max_total_cost),
             )
         trials = _number(entry, "trials", int, 100_000)
-        if trials < 2:
-            raise ConfigError(f"trials must be >= 2, got {trials}")
         eps_tail = _number(entry, "eps_tail", float, 1e-10)
         if not eps_tail > 0.0:
             raise ConfigError(f"eps_tail must be positive, got {eps_tail!r}")
@@ -228,6 +226,11 @@ def _resolve(cfg: ExperimentConfig):
     return dist, model, sched
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 2:
+        raise ConfigError(f"trials must be >= 2, got {trials}")
+
+
 def _resolved_configs(args):
     """Each config of --config with --seed/--trials applied, resolved in turn."""
     for cfg in _load_config_file(args.config):
@@ -235,6 +238,7 @@ def _resolved_configs(args):
             cfg.seed = args.seed
         if args.trials is not None:
             cfg.trials = args.trials
+        _check_trials(cfg.trials)
         yield (cfg, *_resolve(cfg))
 
 
@@ -400,6 +404,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    _check_trials(args.trials)
     coin_dist = distx.constant(math.log(2.0))
     demos = (  # (name, stepped process, its runtime model, threshold)
         ("geometric_coin[c=ln2]", engine.geometric_coin_process(coin_dist),

@@ -251,8 +251,9 @@ def _cdf(dist: DistX, t, side: str) -> float | np.ndarray:
     ts = np.asarray(t, dtype=float)
     if dist.family == "adversarial_density":
         a, t_max = _adv_consts(dist)
-        # Past t_max the value is 1; the minimum keeps exp from overflowing.
-        out = np.clip(np.exp(np.minimum(ts, t_max) - (dist.E + 1.0)) - a, 0.0, 1.0)
+        # exp(t - (E+1)) - a as a*expm1(t), which does not cancel for small t.
+        # Past t_max the value is 1; the minimum keeps expm1 from overflowing.
+        out = np.clip(a * np.expm1(np.minimum(ts, t_max)), 0.0, 1.0)
         out = np.where(ts <= 0.0, 0.0, np.where(ts >= t_max, 1.0, out))
     else:
         # Pr(X < x_i) for each atom, and 1 past the last; fsum keeps every

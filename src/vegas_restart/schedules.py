@@ -66,9 +66,12 @@ class Schedule:
             for e in itertools.count(5):
                 yield budget_block(float(e))  # raises past the E <= MAX_BLOCK_PARAM guard
         else:
+            # Knuth's O(1) reluctant-doubling step: v runs through L_1, L_2, ...
             unit = self._param("unit")
-            for i in itertools.count(1):
-                yield ((1, unit * luby_value(i)),)
+            u, v = 1, 1
+            while True:
+                yield ((1, unit * v),)
+                u, v = (u + 1, 1) if u & -u == v else (u, 2 * v)
 
     def groups(self) -> Iterator[tuple[int, float]]:
         """Run-length encoded budget stream: (count, budget) pairs."""

@@ -1,12 +1,24 @@
-"""Independent brute-force oracles for cross-checking the renewal summation.
+"""Independent brute-force oracles for cross-checking the renewal summation,
+and the per-round reference for the oracle's unbounded scan.
 
-These enumerate the full outcome tree of a finite attempt prefix from first
-principles (per-atom draws, and per-step coin flips for the integer-step
-law), using no closed-form truncated moments.  Survivors of the last attempt
-contribute their accrued cost.
+The brute-force oracles enumerate the full outcome tree of a finite attempt
+prefix from first principles (per-atom draws, and per-step coin flips for
+the integer-step law), using no closed-form truncated moments.  Survivors of
+the last attempt contribute their accrued cost.
 """
 
+import itertools
 import math
+
+from vegas_restart import distx
+from vegas_restart.analysis import (
+    _BLOCK_COST_FACTOR,
+    CostEstimate,
+    TailNotConvergent,
+    _group_partial,
+)
+from vegas_restart.distx import runtime_stats
+from vegas_restart.schedules import budget_block, luby_value
 
 
 def brute_cost_deterministic(atoms, budgets):
@@ -51,3 +63,72 @@ def brute_cost_geometric(atoms, budgets):
         return total
 
     return rec(0, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Reference for the oracle's unbounded scan: the per-round loop that calls
+# runtime_stats for every group and every certificate try, with the Luby terms
+# taken from luby_value(i).  analysis._scan_cost must match it bit for bit.
+
+
+def _reference_rounds(schedule):
+    if schedule.kind == "universal":
+        for e in itertools.count(5):
+            yield budget_block(float(e))
+    unit = dict(schedule.params)["unit"]
+    for i in itertools.count(1):
+        yield ((1, unit * luby_value(i)),)
+
+
+def _eval_group(model, count, budget):
+    hopeless = distx.success_impossible(model, budget)
+    q, m = runtime_stats(model, budget)
+    return count, budget, 1.0 if hopeless else q, m, hopeless
+
+
+def _universal_tail(model, schedule, rounds_done, survival):
+    e = 5 + rounds_done  # bound of the next block
+    q_close, _ = runtime_stats(model, 2.0 * math.exp(e + 10.0))
+    if q_close <= 0.5:
+        ratio = math.e * q_close * q_close
+        return survival * _BLOCK_COST_FACTOR * math.exp(e) / (1.0 - ratio)
+    return None
+
+
+def _luby_tail(model, schedule, rounds_done, survival):
+    if rounds_done == 0:
+        return None
+    unit = dict(schedule.params)["unit"]
+    mult = float(1 << ((rounds_done + 1).bit_length() - 2))
+    q_peak, _ = runtime_stats(model, unit * mult)
+    if q_peak <= 0.5:
+        span = rounds_done + 4.0 * mult
+        return survival * unit * span * span * (1.0 + q_peak) / (1.0 - q_peak) ** 3
+    return None
+
+
+_TAIL_CERTIFICATES = {"universal": _universal_tail, "luby": _luby_tail}
+
+
+def reference_scan_cost(model, schedule, eps_tail=1e-10, attempt_cap=10_000_000):
+    tail_certificate = _TAIL_CERTIFICATES[schedule.kind]
+    survival = 1.0
+    total = 0.0
+    attempts = 0
+    for rounds_done, groups in enumerate(_reference_rounds(schedule)):
+        if survival <= eps_tail:
+            tail = tail_certificate(model, schedule, rounds_done, survival)
+            if tail is not None:
+                return CostEstimate(total, tail, attempts)
+        if attempts > attempt_cap:
+            raise TailNotConvergent(
+                f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
+            )
+        for count, budget in groups:
+            count, budget, q, m, _hopeless = _eval_group(model, count, budget)
+            total += survival * _group_partial(q, count, m)
+            survival *= q**count
+            attempts += count
+            if survival <= 0.0:
+                return CostEstimate(total, 0.0, attempts)
+    raise RuntimeError("unreachable: schedules are infinite")

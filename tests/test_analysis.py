@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _brute import brute_cost_deterministic, brute_cost_geometric
+from _brute import brute_cost_deterministic, brute_cost_geometric, reference_scan_cost
 from vegas_restart import analysis, distx
 from vegas_restart.analysis import (
     TailNotConvergent,
@@ -421,6 +421,43 @@ def test_unbounded_scan_enclosures_are_bit_identical(dist, law, schedule, expect
     scipy_values = _SCIPY_SCAN_VALUES.get((model.label, schedule.label))
     if scipy_values is not None:
         assert got == pytest.approx(scipy_values, rel=1e-11, abs=0.0)
+
+
+def _scan_outcome(cost, model, schedule):
+    try:
+        est = cost(model, schedule, attempt_cap=20_000)
+    except TailNotConvergent as exc:
+        return f"TailNotConvergent: {exc}"
+    return repr((est.expected_cost, est.tail_bound, est.attempts_summed))
+
+
+def test_scan_is_bit_identical_to_the_per_round_reference():
+    # The memoised scan must do the reference's floating-point operations in
+    # the same order: same enclosure bits, attempt count and refusal text.
+    # On the extra model the failure probability of a hopeless budget sums to
+    # 0.9999999999999999, so the support argument's q = 1 shows in the bits.
+    tenths = RuntimeModel(distx.discrete([[1.0 + i, 0.1] for i in range(10)]), "deterministic")
+    for model in zoo_models() + [tenths]:
+        for schedule in (universal_schedule(), luby_schedule(0.5), luby_schedule(1.0),
+                         luby_schedule(4.0)):
+            got = _scan_outcome(analytic_cost, model, schedule)
+            assert got == _scan_outcome(reference_scan_cost, model, schedule), (
+                model.label, schedule.label)
+
+
+def test_scan_calls_runtime_stats_once_per_distinct_budget(monkeypatch):
+    calls = []
+
+    def counting_runtime_stats(model, budget):
+        calls.append(budget)
+        return distx.runtime_stats(model, budget)
+
+    monkeypatch.setattr(analysis, "runtime_stats", counting_runtime_stats)
+    schedule = luby_schedule(1.0)
+    est = analytic_cost(RuntimeModel(two_point(8.0), "geometric"), schedule)
+    budgets = set(itertools.islice(schedule.budgets(), est.attempts_summed))
+    assert sorted(calls) == sorted(budgets)
+    assert len(calls) == 14
 
 
 def test_universal_certificate_is_tried_before_the_attempt_cap():

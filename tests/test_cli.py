@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from vegas_restart import analysis, cli, distx, schedules, starfn
 from vegas_restart.cli import RESULT_COLUMNS, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -449,6 +453,23 @@ def test_sweep_unknown_family(capsys):
     capsys.readouterr()
 
 
+def test_simulate_trials_override_below_two_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASIC)
+    assert main(["simulate", "--config", cfg, "--trials", "1"]) == 2
+    assert "config error: trials must be >= 2, got 1" in capsys.readouterr().err
+    bad = write_config(tmp_path, {**BASIC, "trials": 1}, name="one_trial.json")
+    for command in ("analyze", "simulate"):
+        assert main([command, "--config", bad]) == 2
+    capsys.readouterr()
+
+
+def test_demo_trials_below_two_is_a_config_error(capsys):
+    assert main(["demo", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "config error: trials must be >= 2, got 1" in captured.err
+    assert captured.out == ""
+
+
 def test_demo_passes(capsys):
     assert main(["demo", "--trials", "4000"]) == 0
     out = capsys.readouterr().out
@@ -460,6 +481,7 @@ def test_console_entry_point_subprocess():
         [sys.executable, "-m", "vegas_restart", "verify", "--scope", "starfn"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0
     assert "47/47" in proc.stderr or "checks hold" in proc.stderr

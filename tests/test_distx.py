@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -119,6 +120,19 @@ def test_cdf_adversarial_closed_form():
     t_max = distx.support_max(d)
     assert cdf_strict(d, t_max) == 1.0
     assert cdf_strict(d, t_max + 1.0) == 1.0
+
+
+def test_cdf_adversarial_full_precision_against_mpmath():
+    # exp(t - (E+1)) - a cancels for small t; the CDF must not.
+    d = adversarial_density(10.0)
+    t_max = distx.support_max(d)
+    ts = [1.1e-8, 1e-12, 0.5, 10.0, t_max - 1e-6, t_max - 1e-9, math.nextafter(t_max, 0.0)]
+    with mpmath.workdps(40):
+        e1 = mpmath.mpf(d.E) + 1
+        for t in ts:
+            exact = mpmath.exp(mpmath.mpf(t) - e1) - mpmath.exp(-e1)
+            for got in (cdf_strict(d, t), cdf(d, t), cdf_strict(d, np.array([t]))[0]):
+                assert abs(mpmath.mpf(float(got)) / exact - 1) <= 1e-15, t
 
 
 def test_cdf_strict_nondecreasing():

@@ -215,6 +215,14 @@ def test_luby_matches_recursive_reference(i):
     assert luby_value(i) == luby_reference(i)
 
 
+def test_luby_schedule_budgets_follow_luby_value():
+    n = 1 << 16
+    values = [luby_value(i) for i in range(1, n + 1)]
+    for unit in (0.5, 1.0, 3.0):
+        budgets = first_budgets(luby_schedule(unit), n)
+        assert budgets == [unit * v for v in values]
+
+
 def test_budget_recomputation_is_bit_identical():
     for s in (
         single_threshold_schedule(3.7),
