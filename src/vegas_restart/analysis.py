@@ -4,14 +4,15 @@ behind the verification suite.
 The oracle uses renewal summation over independent attempts: with
 (q_i, m_i) = runtime_stats at budget i, expected total cost is
 sum_i (prod_{j<i} q_j) * m_i.  Cyclic schedules admit an exact closed-form
-remainder; the unbounded kinds are summed round by round until their tail
-certificate closes the series or the survival product hits exact zero.
+remainder; universal is summed block by block and Luby a piece at a time,
+until a tail certificate closes the series or the survival hits exact zero.
 Expected-cost claims are reported as [expected_cost, expected_cost +
 tail_bound] enclosures.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import distx, starfn
 from .distx import DistX, RuntimeModel, cdf, cdf_strict, expectation, runtime_stats
-from .schedules import Schedule, budget_block
+from .schedules import Schedule, budget_block, luby_pieces
 
 # Bound constants for the cost guarantees of the four strategies, used by the
 # verification suite.  ALG1/ALG4 come from the construction itself; ALG3 and
@@ -103,6 +104,8 @@ def analytic_cost(
         raise ValueError(f"eps_tail must be positive, got {eps_tail!r}")
     if schedule.cycle is not None:
         return _cyclic_cost(model, schedule, eps_tail, attempt_cap)
+    if schedule.kind == "luby":
+        return _luby_cost(model, schedule, eps_tail, attempt_cap)
     return _scan_cost(model, schedule, eps_tail, attempt_cap)
 
 
@@ -137,50 +140,9 @@ def _cyclic_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     return CostEstimate(partial, tail, n_cycles * cycle_attempts)
 
 
-def _universal_tail(stats, schedule, rounds_done, survival):
-    e = 5 + rounds_done  # bound of the next block
-    q_close, _ = stats(2.0 * math.exp(e + 10.0))
-    if q_close <= 0.5:
-        # Every later block for bound e' >= e has survival factor at most
-        # q_close**2 (its two closing attempts, and q is nonincreasing in the
-        # budget) and costs at most _BLOCK_COST_FACTOR * exp(e'), so the
-        # remainder is a geometric series with ratio exp(1) * q_close**2 <= e/4.
-        ratio = math.e * q_close * q_close
-        return survival * _BLOCK_COST_FACTOR * math.exp(e) / (1.0 - ratio)
-    return None
-
-
-def _luby_tail(stats, schedule, rounds_done, survival):
-    if rounds_done == 0:
-        return None
-    unit = dict(schedule.params)["unit"]
-    # L_1..L_n peak at 2**(k-1) with k = floor(log2(n + 1)).
-    mult = float(1 << ((rounds_done + 1).bit_length() - 2))
-    q_peak, _ = stats(unit * mult)
-    if q_peak <= 0.5:
-        # Peaks of height >= the peak so far recur with index gaps at most
-        # twice the peak multiplier; between the k-th and (k+1)-th future
-        # peak every budget is at most unit times the position, so the span
-        # costs at most unit * position**2 and the position grows linearly
-        # in k.  With survival shrinking by q_peak per peak,
-        # sum_k (k+1)^2 x^k = (1+x)/(1-x)^3 closes the bound.
-        span = rounds_done + 4.0 * mult
-        return survival * unit * span * span * (1.0 + q_peak) / (1.0 - q_peak) ** 3
-    return None
-
-
-# Remainder bounds for the unbounded kinds, tried at the top of each round
-# once the survival product is below eps_tail: (budget -> runtime_stats, schedule,
-# rounds done, survival) -> tail bound, or None if the bound does not close yet.
-_TAIL_CERTIFICATES = {"universal": _universal_tail, "luby": _luby_tail}
-
-
 def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
-    tail_certificate = _TAIL_CERTIFICATES[schedule.kind]
-    # Per-call memos (2**k Luby attempts use k + 1 budgets): runtime_stats per
-    # budget, and (partial sum, survival factor) per (count, budget) group.
-    stats_memo = {}
-    group_memo = {}
+    """The universal schedule, one escalation block per round."""
+    stats_memo = {}  # runtime_stats per budget, for this call only
 
     def stats(budget):
         if budget not in stats_memo:
@@ -192,25 +154,109 @@ def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     attempts = 0
     for rounds_done, groups in enumerate(schedule.rounds()):
         if survival <= eps_tail:
-            tail = tail_certificate(stats, schedule, rounds_done, survival)
-            if tail is not None:
+            e = 5 + rounds_done  # bound of the next block
+            q_close, _ = stats(2.0 * math.exp(e + 10.0))
+            if q_close <= 0.5:
+                # Every later block for bound e' >= e has survival factor at
+                # most q_close**2 (its two closing attempts, and q is
+                # nonincreasing in the budget) and costs at most
+                # _BLOCK_COST_FACTOR * exp(e'), so the remainder is a geometric
+                # series with ratio exp(1) * q_close**2 <= e/4.
+                ratio = math.e * q_close * q_close
+                tail = survival * _BLOCK_COST_FACTOR * math.exp(e) / (1.0 - ratio)
                 return CostEstimate(total, tail, attempts)
         if attempts > attempt_cap:
             raise TailNotConvergent(
                 f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
             )
-        for group in groups:
-            if group not in group_memo:
-                count, budget = group
-                q, m = stats(budget)
-                q = 1.0 if distx.success_impossible(model, budget) else q
-                group_memo[group] = _group_partial(q, count, m), q**count
-            partial, factor = group_memo[group]
-            total += survival * partial
-            survival *= factor
-            attempts += group[0]
+        for count, budget in groups:
+            q, m = stats(budget)
+            q = 1.0 if distx.success_impossible(model, budget) else q
+            total += survival * _group_partial(q, count, m)
+            survival *= q**count
+            attempts += count
             if survival <= 0.0:
                 return CostEstimate(total, 0.0, attempts)
+    raise RuntimeError("unreachable: schedules are infinite")
+
+
+# Luby scans are summed a piece at a time (schedules.luby_pieces): a run S_k
+# whose levels are all evaluated, or a single term.  S_k is the first
+# 2**k - 1 entries of _LUBY_LEVELS, the levels of S_12 (32 KB), built by
+# S_{k+1} = S_k S_k 2**k.
+_LUBY_DEPTH = 12
+_LUBY_LEVELS = functools.reduce(
+    lambda s, k: np.concatenate([s, s, [k]]), range(_LUBY_DEPTH), np.zeros(0, np.intp)
+)
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in a nonempty mask, or its length if none."""
+    i = int(mask.argmax())
+    return i if mask[i] else len(mask)
+
+
+def _luby_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
+    """The Luby schedule: the steps of one round per term, in the same order."""
+    unit = dict(schedule.params)["unit"]
+    # Per level, filled in at its first term: the raw q for the certificate,
+    # and the summand and factor with the support argument's q = 1.
+    raw_q, partials, factors = [], [], []
+
+    def pieces():
+        for k, levels in luby_pieces(_LUBY_DEPTH):
+            if k:
+                yield _LUBY_LEVELS[: (1 << k) - 1]
+            yield from ([level] for level in levels)
+
+    survival, total, attempts = 1.0, 0.0, 0
+    for levels in pieces():
+        # s[i], t[i]: survival and total before the piece's i-th term, from
+        # survival *= q and total += survival * partial; the last term, whose
+        # level may be new, is summed after the checks.  accumulate runs left
+        # to right, so it rounds as the per-term loop does (np.sum would not).
+        n, head, last = len(levels), levels[:-1], levels[-1]
+        s = np.multiply.accumulate(np.concatenate(([survival], np.array(factors)[head])))
+        t = np.add.accumulate(np.concatenate(([total], s[:-1] * np.array(partials)[head])))
+        # The first term that ends the scan.  Before a term: exact zero
+        # survival left by the term before, then the certificate once survival
+        # <= eps_tail (it closes when q at the highest peak so far is at most
+        # 1/2, and a piece passes no new highest peak), then the attempt cap.
+        peak = (attempts + 1).bit_length() - 2
+        i_zero = _first(s <= 0.0)
+        i_cert = n
+        if attempts > 0 and raw_q[peak] <= 0.5:
+            i_cert = _first(s <= eps_tail)
+        i_cap = n
+        if attempts + n - 1 > attempt_cap:
+            i_cap = max(math.floor(attempt_cap) + 1 - attempts, 0)
+        i = min(i_zero, i_cert, i_cap)
+        if i == i_zero < n:
+            return CostEstimate(float(t[i]), 0.0, attempts + i)
+        if i == i_cert < n:
+            # Peaks of height >= the peak so far recur with index gaps at most
+            # twice its multiplier, and a span between two of them costs at
+            # most unit * position**2 with the position linear in their count.
+            # Survival shrinks by q_peak per peak: sum_k (k+1)^2 x^k =
+            # (1+x)/(1-x)^3 closes the bound.
+            q_peak = raw_q[peak]
+            span = attempts + i + 4.0 * float(1 << peak)
+            tail = float(s[i]) * unit * span * span * (1.0 + q_peak) / (1.0 - q_peak) ** 3
+            return CostEstimate(float(t[i]), tail, attempts + i)
+        if i < n:
+            raise TailNotConvergent(
+                f"no tail certificate after {attempts + i} attempts of schedule {schedule.label}"
+            )
+        if last == len(raw_q):  # the level's first term, reached only now
+            budget = unit * (1 << last)
+            q, m = runtime_stats(model, budget)
+            raw_q.append(q)
+            q = 1.0 if distx.success_impossible(model, budget) else q
+            partials.append(_group_partial(q, 1, m))
+            factors.append(q)
+        total = float(t[-1]) + float(s[-1]) * partials[last]
+        survival = float(s[-1]) * factors[last]
+        attempts += n
     raise RuntimeError("unreachable: schedules are infinite")
 
 

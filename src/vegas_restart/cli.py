@@ -8,8 +8,8 @@ Exit codes: 0 ok, 1 failed verify verdicts, 2 config/usage error, 3 tail not
 convergent or integral not converged, 4 infinite expected cost where the mode
 requires finite, 5 cap trips above the configured threshold.
 
-The worker count env var VEGAS_RESTART_THREADS never affects results, only
-scheduling.
+The worker count env var VEGAS_RESTART_THREADS is validated (a non-integer is
+a config error) but never affects results: trials run in order on one thread.
 """
 
 from __future__ import annotations

@@ -487,9 +487,10 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float]:
                 return 0.0, expectation_exp(dist)
             if xb <= 0.0:
                 return 1.0, b
-            f_below = math.exp(xb - (dist.E + 1.0)) - a
-            q = 1.0 - f_below
-            m = (math.exp(2.0 * xb - (dist.E + 1.0)) - a) / 2.0 + b * q
+            # exp(xb - (E+1)) - a and exp(2 xb - (E+1)) - a as a*expm1(.),
+            # which do not cancel for small xb (as in _cdf).
+            q = 1.0 - a * math.expm1(xb)
+            m = a * math.expm1(2.0 * xb) / 2.0 + b * q
             return q, m
         q = 0.0
         m = 0.0

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,28 +282,18 @@ def mc_expected_cost(
     costs = np.empty(trials, dtype=np.float64)
     capped = np.zeros(trials, dtype=bool)
 
-    def run_range(lo: int, hi: int):
-        for trial in range(lo, hi):
-            rng = TrialRng(seed, trial)
-            try:
-                report = run_with_schedule(process, schedule, rng, caps)
-                costs[trial] = report.total_cost
-            except CapExceeded as exc:
-                if on_cap == "raise":
-                    raise
-                costs[trial] = exc.report.total_cost
-                capped[trial] = True
-
-    n_workers = resolve_workers(workers)
-    if n_workers == 1:
-        run_range(0, trials)
-    else:
-        chunk = -(-trials // n_workers)
-        spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(run_range, lo, hi) for lo, hi in spans]
-            for fut in futures:
-                fut.result()
+    # The worker count is validated, but the trials run on this thread in
+    # order: worker threads shared the interpreter lock and bought no speed.
+    resolve_workers(workers)
+    for trial in range(trials):
+        try:
+            report = run_with_schedule(process, schedule, TrialRng(seed, trial), caps)
+            costs[trial] = report.total_cost
+        except CapExceeded as exc:
+            if on_cap == "raise":
+                raise
+            costs[trial] = exc.report.total_cost
+            capped[trial] = True
 
     mean = float(np.mean(costs))
     std_error = float(np.std(costs, ddof=1) / math.sqrt(trials))

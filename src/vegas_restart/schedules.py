@@ -66,12 +66,10 @@ class Schedule:
             for e in itertools.count(5):
                 yield budget_block(float(e))  # raises past the E <= MAX_BLOCK_PARAM guard
         else:
-            # Knuth's O(1) reluctant-doubling step: v runs through L_1, L_2, ...
             unit = self._param("unit")
-            u, v = 1, 1
-            while True:
-                yield ((1, unit * v),)
-                u, v = (u + 1, 1) if u & -u == v else (u, 2 * v)
+            for _, levels in luby_pieces(0):
+                for level in levels:
+                    yield ((1, unit * (1 << level)),)
 
     def groups(self) -> Iterator[tuple[int, float]]:
         """Run-length encoded budget stream: (count, budget) pairs."""
@@ -194,6 +192,22 @@ def luby_value(i: int) -> int:
         if (i + 1) & i == 0:  # i == 2**k - 1
             return (i + 1) >> 1
         i = i - (1 << (i.bit_length() - 1)) + 1
+
+
+def luby_pieces(depth: int) -> Iterator[tuple[int, range]]:
+    """The reluctant-doubling sequence as pieces (k, levels): the 2**k - 1 terms
+    of S_k with k <= depth, then one term 2**level for each level in levels.
+
+    S_1 = (1) and S_k = S_{k-1} S_{k-1} 2**(k-1), so the sequence is S_depth,
+    then for j = 2, 3, ... S_depth again and the terms 2**depth, ...,
+    2**(depth + tz(j) - 1), with tz the trailing zero count.  The first S_depth
+    is laid out as S_k, 2**k for k < depth, so every level first occurs as a
+    single term.
+    """
+    for k in range(depth):
+        yield k, range(k, k + 1)
+    for j in itertools.count(2):
+        yield depth, range(depth, depth + (j & -j).bit_length() - 1)
 
 
 def luby_schedule(unit: float) -> Schedule:

@@ -68,7 +68,8 @@ def brute_cost_geometric(atoms, budgets):
 # ---------------------------------------------------------------------------
 # Reference for the oracle's unbounded scan: the per-round loop that calls
 # runtime_stats for every group and every certificate try, with the Luby terms
-# taken from luby_value(i).  analysis._scan_cost must match it bit for bit.
+# taken from luby_value(i).  analysis._scan_cost (universal) and
+# analysis._luby_cost must match it bit for bit.
 
 
 def _reference_rounds(schedule):
@@ -107,11 +108,8 @@ def _luby_tail(model, schedule, rounds_done, survival):
     return None
 
 
-_TAIL_CERTIFICATES = {"universal": _universal_tail, "luby": _luby_tail}
-
-
 def reference_scan_cost(model, schedule, eps_tail=1e-10, attempt_cap=10_000_000):
-    tail_certificate = _TAIL_CERTIFICATES[schedule.kind]
+    tail_certificate = _universal_tail if schedule.kind == "universal" else _luby_tail
     survival = 1.0
     total = 0.0
     attempts = 0

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _brute import brute_cost_deterministic, brute_cost_geometric, reference_scan_cost
 from vegas_restart import analysis, distx
@@ -423,21 +425,48 @@ def test_unbounded_scan_enclosures_are_bit_identical(dist, law, schedule, expect
         assert got == pytest.approx(scipy_values, rel=1e-11, abs=0.0)
 
 
-def _scan_outcome(cost, model, schedule):
+# Ten atoms of mass 0.1: the failure probability of a hopeless budget sums to
+# 0.9999999999999999, so the support argument's q = 1 shows in the bits.
+_TENTHS = RuntimeModel(distx.discrete([[1.0 + i, 0.1] for i in range(10)]), "deterministic")
+
+
+def _scan_outcome(cost, model, schedule, attempt_cap=20_000, eps_tail=1e-10):
     try:
-        est = cost(model, schedule, attempt_cap=20_000)
+        est = cost(model, schedule, eps_tail=eps_tail, attempt_cap=attempt_cap)
     except TailNotConvergent as exc:
         return f"TailNotConvergent: {exc}"
     return repr((est.expected_cost, est.tail_bound, est.attempts_summed))
 
 
+def test_scan_stopping_early_evaluates_only_the_levels_it_reached(monkeypatch):
+    # Each scan stops next to a level's first term, a single-term piece: after
+    # attempt 15 on exact zero survival, and before attempt 31 on the
+    # certificate and on the attempt cap.  A level is evaluated only once the
+    # scan sums its first term.
+    calls = []
+
+    def counting_runtime_stats(model, budget):
+        calls.append(budget)
+        return distx.runtime_stats(model, budget)
+
+    monkeypatch.setattr(analysis, "runtime_stats", counting_runtime_stats)
+    schedule = luby_schedule(1.0)
+    for dist, cap, attempts in (
+        (two_point(1.0), 10**7, 15),
+        (fixed_t_counterexample(5.0, 10.0), 10**7, 30),
+        (two_point(16.0), 29, 30),
+    ):
+        calls.clear()
+        outcome = _scan_outcome(analytic_cost, RuntimeModel(dist, "deterministic"), schedule,
+                                attempt_cap=cap)
+        assert outcome.endswith(f", {attempts})") or f"after {attempts} attempts" in outcome
+        assert sorted(calls) == sorted(set(itertools.islice(schedule.budgets(), attempts)))
+
+
 def test_scan_is_bit_identical_to_the_per_round_reference():
-    # The memoised scan must do the reference's floating-point operations in
-    # the same order: same enclosure bits, attempt count and refusal text.
-    # On the extra model the failure probability of a hopeless budget sums to
-    # 0.9999999999999999, so the support argument's q = 1 shows in the bits.
-    tenths = RuntimeModel(distx.discrete([[1.0 + i, 0.1] for i in range(10)]), "deterministic")
-    for model in zoo_models() + [tenths]:
+    # The scans must do the reference's floating-point operations in the same
+    # order: same enclosure bits, attempt count and refusal text.
+    for model in zoo_models() + [_TENTHS]:
         for schedule in (universal_schedule(), luby_schedule(0.5), luby_schedule(1.0),
                          luby_schedule(4.0)):
             got = _scan_outcome(analytic_cost, model, schedule)
@@ -458,6 +487,82 @@ def test_scan_calls_runtime_stats_once_per_distinct_budget(monkeypatch):
     budgets = set(itertools.islice(schedule.budgets(), est.attempts_summed))
     assert sorted(calls) == sorted(budgets)
     assert len(calls) == 14
+
+
+def test_scan_is_bit_identical_at_piece_edges():
+    # Caps just before, at and after the end of the first full-depth run S_c,
+    # and inside the third, so that the cap falls inside a summed piece.
+    c = analysis._LUBY_DEPTH
+    models = (
+        RuntimeModel(two_point(16.0), "deterministic"),
+        RuntimeModel(variance_counterexample(5.0, 10.0), "deterministic"),
+        RuntimeModel(variance_counterexample(5.0, 10.0), "geometric"),
+        _TENTHS,
+    )
+    for model in models:
+        for cap in (2**c - 2, 2**c - 1, 2**c, 2**c + 1, 3 * 2**c):
+            for eps_tail in (1e-4, 1e-10):
+                outcomes = [
+                    _scan_outcome(cost, model, luby_schedule(1.0), attempt_cap=cap,
+                                  eps_tail=eps_tail)
+                    for cost in (analytic_cost, reference_scan_cost)
+                ]
+                assert outcomes[0] == outcomes[1], (model.label, cap, eps_tail)
+    # Certificates that close inside a full-depth piece (at 24 870 and 78 363
+    # attempts) and in the prefix.  With the cap one attempt short, the cap
+    # and the certificate fall on the same term, and the certificate, tried
+    # first, must win.
+    for model, unit, eps_tail in (
+        (RuntimeModel(constant(10.0), "geometric"), 3.0, 1e-10),
+        (RuntimeModel(adversarial_density(10.0), "deterministic"), 1.0, 1e-4),
+        (RuntimeModel(variance_counterexample(5.0, 10.0), "geometric"), 1.0, 1e-10),
+    ):
+        est = analytic_cost(model, luby_schedule(unit), eps_tail=eps_tail)
+        assert est.tail_bound > 0.0
+        for cap in (est.attempts_summed - 2, est.attempts_summed - 1):
+            outcomes = [
+                _scan_outcome(cost, model, luby_schedule(unit), attempt_cap=cap,
+                              eps_tail=eps_tail)
+                for cost in (analytic_cost, reference_scan_cost)
+            ]
+            assert outcomes[0] == outcomes[1], (model.label, cap)
+        assert outcomes[0] == repr((est.expected_cost, est.tail_bound, est.attempts_summed))
+
+
+@st.composite
+def _small_models(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    xs = draw(st.lists(st.floats(min_value=0.0, max_value=8.0), min_size=n, max_size=n,
+                       unique=True))
+    weights = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n))
+    total = math.fsum(weights)
+    atoms = [[x, w / total] for x, w in zip(xs, weights)]
+    return RuntimeModel(distx.discrete(atoms), draw(st.sampled_from(distx.LAWS)))
+
+
+@given(
+    _small_models(),
+    st.floats(min_value=0.25, max_value=8.0),
+    st.integers(min_value=0, max_value=5000),
+    st.sampled_from([1e-4, 1e-10]),
+)
+@settings(max_examples=60, deadline=None)
+def test_luby_scan_matches_the_per_round_reference(model, unit, cap, eps_tail):
+    schedule = luby_schedule(unit)
+    got = _scan_outcome(analytic_cost, model, schedule, attempt_cap=cap, eps_tail=eps_tail)
+    assert got == _scan_outcome(reference_scan_cost, model, schedule, attempt_cap=cap,
+                                eps_tail=eps_tail)
+
+
+def test_long_luby_scans_keep_their_results():
+    # Both were computed with the per-round loop (about 9 s and 22 s there).
+    est = analytic_cost(RuntimeModel(fixed_t_counterexample(10.0, 15.0), "geometric"),
+                        luby_schedule(1.0))
+    got = (est.expected_cost, est.tail_bound, est.attempts_summed)
+    assert repr(got) == repr((3.1041063119494163, 0.0, 4194303))
+    with pytest.raises(TailNotConvergent) as info:
+        analytic_cost(RuntimeModel(two_point(16.0), "deterministic"), luby_schedule(1.0))
+    assert str(info.value) == "no tail certificate after 10000001 attempts of schedule luby(unit=1)"
 
 
 def test_universal_certificate_is_tried_before_the_attempt_cap():

@@ -135,6 +135,28 @@ def test_cdf_adversarial_full_precision_against_mpmath():
                 assert abs(mpmath.mpf(float(got)) / exact - 1) <= 1e-15, t
 
 
+def test_runtime_stats_adversarial_deterministic_against_mpmath():
+    # q = 1 - a*expm1(ln b) and m = a*expm1(2 ln b)/2 + b*q at E = 10.  Next to
+    # t_max, q is about 1e-9 and moves by about -1 per unit of ln b, so the
+    # rounding of log(b) alone (half an ulp of t_max) bounds its absolute error.
+    d = adversarial_density(10.0)
+    model = RuntimeModel(d, "deterministic")
+    t_max = distx.support_max(d)
+    with mpmath.workdps(40):
+        a = mpmath.exp(-(mpmath.mpf(d.E) + 1))
+        for ln_b in (1.1e-8, 1e-6, 0.5, t_max - 1e-9):
+            b = math.exp(ln_b)
+            x = mpmath.log(mpmath.mpf(b))
+            q_exact = 1 - a * mpmath.expm1(x)
+            m_exact = a * mpmath.expm1(2 * x) / 2 + mpmath.mpf(b) * q_exact
+            q, m = runtime_stats(model, b)
+            assert abs(mpmath.mpf(m) / m_exact - 1) <= 1e-15, ln_b
+            if ln_b < t_max - 1.0:
+                assert abs(mpmath.mpf(q) / q_exact - 1) <= 1e-15, ln_b
+            else:
+                assert abs(mpmath.mpf(q) - q_exact) <= math.ulp(t_max), ln_b
+
+
 def test_cdf_strict_nondecreasing():
     for d in zoo_distributions():
         hi = distx.support_max(d) + 2.0
