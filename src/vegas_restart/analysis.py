@@ -4,8 +4,8 @@ behind the verification suite.
 The oracle uses renewal summation over independent attempts: with
 (q_i, m_i) = runtime_stats at budget i, expected total cost is
 sum_i (prod_{j<i} q_j) * m_i.  Cyclic schedules admit an exact closed-form
-remainder; universal is summed block by block and Luby a piece at a time,
-until a tail certificate closes the series or the survival hits exact zero.
+remainder; universal and Luby are summed a piece at a time, until a tail
+certificate closes the series or the survival hits exact zero.
 Expected-cost claims are reported as [expected_cost, expected_cost +
 tail_bound] enclosures.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import distx, starfn
 from .distx import DistX, RuntimeModel, cdf, cdf_strict, expectation, runtime_stats
-from .schedules import Schedule, budget_block, luby_pieces
+from .schedules import MAX_BLOCK_PARAM, Schedule, budget_block, luby_pieces
 
 # Bound constants for the cost guarantees of the four strategies, used by the
 # verification suite.  ALG1/ALG4 come from the construction itself; ALG3 and
@@ -82,10 +82,14 @@ def _group_partial(q: float, count: int, m: float) -> float:
     return m * (-math.expm1(count * math.log(q))) / (1.0 - q)
 
 
-def _eval_group(model: RuntimeModel, count: int, budget: float):
-    hopeless = distx.success_impossible(model, budget)
-    q, m = runtime_stats(model, budget)
-    return count, budget, 1.0 if hopeless else q, m, hopeless
+def _group_terms(model: RuntimeModel, stats, count: int, budget: float) -> tuple[float, float]:
+    """Summand and survival factor, _group_partial(q, count, m) and q**count, of
+    count attempts at budget, with q = 1 where no run can complete within the
+    budget (the support argument)."""
+    q, m = stats(budget)
+    if distx.success_impossible(model, budget):
+        q = 1.0
+    return _group_partial(q, count, m), q**count
 
 
 def analytic_cost(
@@ -100,26 +104,27 @@ def analytic_cost(
     issues can complete a run); raises TailNotConvergent when the series
     cannot be certified within attempt_cap attempts.
     """
-    if eps_tail <= 0.0:
+    if not eps_tail > 0.0:
         raise ValueError(f"eps_tail must be positive, got {eps_tail!r}")
+    if not (attempt_cap >= 0 and attempt_cap % 1 == 0):
+        raise ValueError(f"attempt_cap must be a non-negative whole number, got {attempt_cap!r}")
     if schedule.cycle is not None:
-        return _cyclic_cost(model, schedule, eps_tail, attempt_cap)
-    if schedule.kind == "luby":
-        return _luby_cost(model, schedule, eps_tail, attempt_cap)
-    return _scan_cost(model, schedule, eps_tail, attempt_cap)
+        return _cyclic_cost(model, schedule, eps_tail, int(attempt_cap))
+    return _scan_cost(model, schedule, eps_tail, int(attempt_cap))
 
 
 def _cyclic_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
-    stats = [_eval_group(model, c, b) for c, b in schedule.cycle]
-    cycle_attempts = sum(c for c, *_ in stats)
-    if all(hopeless for *_, hopeless in stats):
+    cycle_attempts = sum(count for count, _ in schedule.cycle)
+    if all(distx.success_impossible(model, budget) for _, budget in schedule.cycle):
         return CostEstimate(math.inf, 0.0, cycle_attempts)
 
+    stats = functools.partial(runtime_stats, model)
     cycle_cost = 0.0  # expected cost accrued over one cycle started fresh
     survival = 1.0
-    for count, _budget, q, m, _hopeless in stats:
-        cycle_cost += survival * _group_partial(q, count, m)
-        survival *= q**count
+    for count, budget in schedule.cycle:
+        partial, factor = _group_terms(model, stats, count, budget)
+        cycle_cost += survival * partial
+        survival *= factor
     cycle_survival = survival
     if cycle_survival >= 1.0:
         raise TailNotConvergent(
@@ -140,48 +145,56 @@ def _cyclic_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     return CostEstimate(partial, tail, n_cycles * cycle_attempts)
 
 
-def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
-    """The universal schedule, one escalation block per round."""
-    stats_memo = {}  # runtime_stats per budget, for this call only
-
-    def stats(budget):
-        if budget not in stats_memo:
-            stats_memo[budget] = runtime_stats(model, budget)
-        return stats_memo[budget]
-
-    survival = 1.0
-    total = 0.0
-    attempts = 0
-    for rounds_done, groups in enumerate(schedule.rounds()):
-        if survival <= eps_tail:
-            e = 5 + rounds_done  # bound of the next block
-            q_close, _ = stats(2.0 * math.exp(e + 10.0))
-            if q_close <= 0.5:
-                # Every later block for bound e' >= e has survival factor at
-                # most q_close**2 (its two closing attempts, and q is
-                # nonincreasing in the budget) and costs at most
-                # _BLOCK_COST_FACTOR * exp(e'), so the remainder is a geometric
-                # series with ratio exp(1) * q_close**2 <= e/4.
-                ratio = math.e * q_close * q_close
-                tail = survival * _BLOCK_COST_FACTOR * math.exp(e) / (1.0 - ratio)
-                return CostEstimate(total, tail, attempts)
-        if attempts > attempt_cap:
-            raise TailNotConvergent(
-                f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
-            )
-        for count, budget in groups:
-            q, m = stats(budget)
-            q = 1.0 if distx.success_impossible(model, budget) else q
-            total += survival * _group_partial(q, count, m)
-            survival *= q**count
-            attempts += count
-            if survival <= 0.0:
-                return CostEstimate(total, 0.0, attempts)
-    raise RuntimeError("unreachable: schedules are infinite")
+# A piece of an unbounded schedule is (ids, group, tail).  ids are the slots
+# of its terms in the scan's tables; every term but the last is one attempt
+# whose slot is filled.  group is the last term's (count, budget), evaluated
+# into its slot when the scan reaches it.  tail(attempts, survival) bounds the
+# rest of the series before a term, or gives None before every term of the
+# piece; with tail None only exact zero survival is checked.
 
 
-# Luby scans are summed a piece at a time (schedules.luby_pieces): a run S_k
-# whose levels are all evaluated, or a single term.  S_k is the first
+def _universal_tail(e, stats, attempts, survival):
+    """Certificate before budget_block(e)."""
+    q_close, _ = stats(2.0 * math.exp(e + 10.0))
+    if q_close > 0.5:
+        return None
+    # Every later block for bound e' >= e has survival factor at most
+    # q_close**2 (its two closing attempts, and q is nonincreasing in the
+    # budget) and costs at most _BLOCK_COST_FACTOR * exp(e'), so the remainder
+    # is a geometric series with ratio exp(1) * q_close**2 <= e/4.
+    ratio = math.e * q_close * q_close
+    return survival * _BLOCK_COST_FACTOR * math.exp(e) / (1.0 - ratio)
+
+
+def _universal_pieces(stats):
+    """One group per piece, kept in slot 0, from budget_block(e) for e = 5, 6,
+    ..., MAX_BLOCK_PARAM; the rules are tried before a block's first group."""
+    for e in range(5, int(MAX_BLOCK_PARAM) + 1):
+        tail = functools.partial(_universal_tail, e, stats)
+        for group in budget_block(float(e)):
+            yield np.zeros(1, np.intp), group, tail
+            tail = None
+
+
+def _luby_tail(unit, stats, attempts, survival):
+    """Certificate before the Luby term after the given number of attempts."""
+    if attempts == 0:
+        return None
+    # Peaks of height >= the peak so far recur with index gaps at most twice
+    # its multiplier, and a span between two of them costs at most
+    # unit * position**2 with the position linear in their count.  Survival
+    # shrinks by q_peak per peak: sum_k (k+1)^2 x^k = (1+x)/(1-x)^3 closes the
+    # bound.
+    mult = float(1 << ((attempts + 1).bit_length() - 2))
+    q_peak, _ = stats(unit * mult)
+    if q_peak > 0.5:
+        return None
+    span = attempts + 4.0 * mult
+    return survival * unit * span * span * (1.0 + q_peak) / (1.0 - q_peak) ** 3
+
+
+# A Luby piece is a run S_k whose levels are all evaluated, or a single term
+# (schedules.luby_pieces); level k lives in slot k.  S_k is the first
 # 2**k - 1 entries of _LUBY_LEVELS, the levels of S_12 (32 KB), built by
 # S_{k+1} = S_k S_k 2**k.
 _LUBY_DEPTH = 12
@@ -190,74 +203,72 @@ _LUBY_LEVELS = functools.reduce(
 )
 
 
+def _luby_pieces(unit, stats):
+    """Luby pieces with the rules tried before every term; a piece passes no
+    new highest peak, so the certificate's verdict holds over it."""
+    tail = functools.partial(_luby_tail, unit, stats)
+    for k, levels in luby_pieces(_LUBY_DEPTH):
+        if k:
+            yield _LUBY_LEVELS[: (1 << k) - 1], (1, unit * (1 << (k - 1))), tail
+        for level in levels:
+            yield np.array([level]), (1, unit * (1 << level)), tail
+
+
 def _first(mask: np.ndarray) -> int:
     """Index of the first True in a nonempty mask, or its length if none."""
     i = int(mask.argmax())
     return i if mask[i] else len(mask)
 
 
-def _luby_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
-    """The Luby schedule: the steps of one round per term, in the same order."""
-    unit = dict(schedule.params)["unit"]
-    # Per level, filled in at its first term: the raw q for the certificate,
-    # and the summand and factor with the support argument's q = 1.
-    raw_q, partials, factors = [], [], []
-
-    def pieces():
-        for k, levels in luby_pieces(_LUBY_DEPTH):
-            if k:
-                yield _LUBY_LEVELS[: (1 << k) - 1]
-            yield from ([level] for level in levels)
-
+def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
+    """The unbounded kinds, "universal" and "luby", a piece at a time."""
+    stats = functools.cache(lambda budget: runtime_stats(model, budget))  # for this call only
+    if schedule.kind == "universal":
+        pieces = _universal_pieces(stats)
+    else:
+        pieces = _luby_pieces(dict(schedule.params)["unit"], stats)
+    # _group_terms per slot; Luby level 64 would first come after 2**65 attempts.
+    partials, factors = np.zeros(64), np.zeros(64)
     survival, total, attempts = 1.0, 0.0, 0
-    for levels in pieces():
+    for ids, group, tail in pieces:
         # s[i], t[i]: survival and total before the piece's i-th term, from
-        # survival *= q and total += survival * partial; the last term, whose
-        # level may be new, is summed after the checks.  accumulate runs left
-        # to right, so it rounds as the per-term loop does (np.sum would not).
-        n, head, last = len(levels), levels[:-1], levels[-1]
-        s = np.multiply.accumulate(np.concatenate(([survival], np.array(factors)[head])))
-        t = np.add.accumulate(np.concatenate(([total], s[:-1] * np.array(partials)[head])))
+        # survival *= factor and total += survival * partial; the last term is
+        # summed after the checks.  accumulate runs left to right, so it
+        # rounds as a per-term loop does (np.sum would not).
+        n, head = len(ids), ids[:-1]
+        s = np.multiply.accumulate(np.concatenate(([survival], factors[head])))
+        t = np.add.accumulate(np.concatenate(([total], s[:-1] * partials[head])))
         # The first term that ends the scan.  Before a term: exact zero
-        # survival left by the term before, then the certificate once survival
-        # <= eps_tail (it closes when q at the highest peak so far is at most
-        # 1/2, and a piece passes no new highest peak), then the attempt cap.
-        peak = (attempts + 1).bit_length() - 2
+        # survival left by the term before; then, where the piece has a
+        # certificate, the certificate once survival <= eps_tail, and the
+        # attempt cap.
         i_zero = _first(s <= 0.0)
-        i_cert = n
-        if attempts > 0 and raw_q[peak] <= 0.5:
+        i_cert = i_cap = n
+        if tail is not None:
             i_cert = _first(s <= eps_tail)
-        i_cap = n
-        if attempts + n - 1 > attempt_cap:
-            i_cap = max(math.floor(attempt_cap) + 1 - attempts, 0)
-        i = min(i_zero, i_cert, i_cap)
-        if i == i_zero < n:
-            return CostEstimate(float(t[i]), 0.0, attempts + i)
-        if i == i_cert < n:
-            # Peaks of height >= the peak so far recur with index gaps at most
-            # twice its multiplier, and a span between two of them costs at
-            # most unit * position**2 with the position linear in their count.
-            # Survival shrinks by q_peak per peak: sum_k (k+1)^2 x^k =
-            # (1+x)/(1-x)^3 closes the bound.
-            q_peak = raw_q[peak]
-            span = attempts + i + 4.0 * float(1 << peak)
-            tail = float(s[i]) * unit * span * span * (1.0 + q_peak) / (1.0 - q_peak) ** 3
-            return CostEstimate(float(t[i]), tail, attempts + i)
-        if i < n:
+            i_cap = min(max(attempt_cap + 1 - attempts, 0), n)
+        if i_cert < min(i_zero, i_cap + 1):
+            bound = tail(attempts + i_cert, float(s[i_cert]))
+            if bound is not None:
+                return CostEstimate(float(t[i_cert]), bound, attempts + i_cert)
+        if i_zero < n and i_zero <= i_cap:
+            return CostEstimate(float(t[i_zero]), 0.0, attempts + i_zero)
+        if i_cap < n:
             raise TailNotConvergent(
-                f"no tail certificate after {attempts + i} attempts of schedule {schedule.label}"
+                f"no tail certificate after {attempts + i_cap} attempts of schedule {schedule.label}"
             )
-        if last == len(raw_q):  # the level's first term, reached only now
-            budget = unit * (1 << last)
-            q, m = runtime_stats(model, budget)
-            raw_q.append(q)
-            q = 1.0 if distx.success_impossible(model, budget) else q
-            partials.append(_group_partial(q, 1, m))
-            factors.append(q)
-        total = float(t[-1]) + float(s[-1]) * partials[last]
-        survival = float(s[-1]) * factors[last]
-        attempts += n
-    raise RuntimeError("unreachable: schedules are infinite")
+        partial, factor = _group_terms(model, stats, *group)
+        partials[ids[-1]], factors[ids[-1]] = partial, factor
+        total = float(t[-1]) + float(s[-1]) * partial
+        survival = float(s[-1]) * factor
+        attempts += n - 1 + group[0]
+        if survival <= 0.0:  # checked before the next piece is asked for
+            return CostEstimate(total, 0.0, attempts)
+    # Only universal runs out of pieces: budget_block refuses past MAX_BLOCK_PARAM.
+    raise TailNotConvergent(
+        f"no tail certificate after {attempts} attempts of schedule {schedule.label}, "
+        f"whose blocks end at E = {MAX_BLOCK_PARAM:g}"
+    )
 
 
 def renewal_partial_cost(model: RuntimeModel, budgets) -> float:

@@ -3,8 +3,9 @@
 Every schedule is a pure function of its parameters.  Budgets are kept as
 real numbers; any integer rounding needed by integer-step runtime laws
 happens at the engine boundary, never here.  Schedules expose a per-attempt
-budget stream, a grouped (count, budget) run-length stream, and the same
-groups split into rounds; the rounds are what the exact cost oracle consumes.
+budget stream and the same stream run-length encoded as (count, budget)
+groups.  The exact cost oracle reads a cycle from Schedule.cycle, and the
+unbounded kinds from budget_block and luby_pieces.
 """
 
 from __future__ import annotations
@@ -47,33 +48,20 @@ class Schedule:
         inner = ",".join(f"{k}={v:g}" for k, v in self.params)
         return f"{self.kind}({inner})"
 
-    def _param(self, name: str) -> float:
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise KeyError(name)
+    def groups(self) -> Iterator[tuple[int, float]]:
+        """Run-length encoded budget stream: (count, budget) pairs.
 
-    def rounds(self) -> Iterator[tuple[tuple[int, float], ...]]:
-        """The budget stream in rounds of (count, budget) groups.
-
-        A round is the cycle for the cyclic kinds, the block budget_block(e)
-        for e = 5, 6, ... for "universal", and the single attempt
-        (1, unit * L_i) for "luby".
+        The cycle, repeated, for the cyclic kinds; the block budget_block(e)
+        for e = 5, 6, ... for "universal"; and one pair (1, unit * L_i) per
+        term for "luby".
         """
         if self.cycle is not None:
-            yield from itertools.repeat(self.cycle)
-        elif self.kind == "universal":
-            for e in itertools.count(5):
-                yield budget_block(float(e))  # raises past the E <= MAX_BLOCK_PARAM guard
-        else:
-            unit = self._param("unit")
-            for _, levels in luby_pieces(0):
-                for level in levels:
-                    yield ((1, unit * (1 << level)),)
-
-    def groups(self) -> Iterator[tuple[int, float]]:
-        """Run-length encoded budget stream: (count, budget) pairs."""
-        return itertools.chain.from_iterable(self.rounds())
+            return itertools.chain.from_iterable(itertools.repeat(self.cycle))
+        if self.kind == "universal":
+            # raises past the E <= MAX_BLOCK_PARAM guard
+            return itertools.chain.from_iterable(map(budget_block, itertools.count(5.0)))
+        unit = dict(self.params)["unit"]
+        return ((1, unit * (1 << level)) for _, levels in luby_pieces(0) for level in levels)
 
     def budgets(self) -> Iterator[float]:
         for count, budget in self.groups():

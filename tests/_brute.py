@@ -68,8 +68,8 @@ def brute_cost_geometric(atoms, budgets):
 # ---------------------------------------------------------------------------
 # Reference for the oracle's unbounded scan: the per-round loop that calls
 # runtime_stats for every group and every certificate try, with the Luby terms
-# taken from luby_value(i).  analysis._scan_cost (universal) and
-# analysis._luby_cost must match it bit for bit.
+# taken from luby_value(i).  analysis._scan_cost, which sums universal and
+# Luby a piece at a time, must match it bit for bit.
 
 
 def _reference_rounds(schedule):

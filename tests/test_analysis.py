@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _brute
 from _brute import brute_cost_deterministic, brute_cost_geometric, reference_scan_cost
 from vegas_restart import analysis, distx
 from vegas_restart.analysis import (
@@ -123,10 +124,11 @@ def test_oracle_raises_when_attempt_cap_blocks_certificate():
 
 
 def test_oracle_universal_range_guard_for_uncoverable_support():
-    from vegas_restart.schedules import ScheduleRangeError
-
+    # constant(295) needs escalation blocks past the range guard.  A cap that
+    # lets the scan reach the guard gives a refusal where the blocks end, not
+    # the guard's ScheduleRangeError, which the CLI reports as a config error.
     model = RuntimeModel(constant(295.0), "deterministic")
-    with pytest.raises(ScheduleRangeError):
+    with pytest.raises(TailNotConvergent, match="whose blocks end at E = 280$"):
         analytic_cost(model, universal_schedule(), attempt_cap=10**9)
 
 
@@ -134,6 +136,56 @@ def test_oracle_rejects_bad_eps():
     model = RuntimeModel(constant(0.0), "deterministic")
     with pytest.raises(ValueError):
         analytic_cost(model, universal_schedule(), eps_tail=0.0)
+
+
+def test_oracle_rejects_nan_eps_tail_on_a_cycle():
+    # Unchecked, a NaN eps_tail fails later, in counting the cycles, with
+    # "cannot convert float NaN to integer".
+    model = RuntimeModel(two_point(4.0), "deterministic")
+    with pytest.raises(ValueError, match="eps_tail must be positive, got nan"):
+        analytic_cost(model, fixed_schedule(4.0), eps_tail=math.nan)
+
+
+def test_oracle_rejects_nan_eps_tail_on_a_scan():
+    # Unchecked, a NaN eps_tail switches the certificate off, and this scan
+    # sums to zero survival: (6.671613793880576, 0.0, 3068).
+    model = RuntimeModel(two_point(4.0), "geometric")
+    with pytest.raises(ValueError, match="eps_tail must be positive, got nan"):
+        analytic_cost(model, luby_schedule(1.0), eps_tail=math.nan)
+
+
+def test_oracle_rejects_an_attempt_cap_that_is_not_whole():
+    # Unchecked, a NaN cap switches the cap off, and this scan sums
+    # 67 108 863 attempts instead of refusing.
+    model = RuntimeModel(two_point(16.0), "deterministic")
+    for cap in (math.nan, math.inf, -1, 1.5):
+        with pytest.raises(ValueError, match="attempt_cap must be a non-negative whole number"):
+            analytic_cost(model, luby_schedule(1.0), attempt_cap=cap)
+
+
+def test_oracle_float_attempt_cap_counts_whole_attempts():
+    # The cap is converted to int once, so no float leaks into the count.
+    model = RuntimeModel(distx.discrete([[0.0, 1e-10], [50.0, 1.0 - 1e-10]]), "deterministic")
+    est = analytic_cost(model, single_threshold_schedule(0.0), attempt_cap=1e5)
+    assert repr(est.attempts_summed) == "100000"
+
+
+def test_universal_scan_refuses_where_the_blocks_end():
+    # With a cap past the 15 327 864 attempts of the blocks for E = 5 ... 280,
+    # constant(290) x geometric runs out of blocks and is refused, naming the
+    # last one.  Under the deterministic law survival reaches zero on the last
+    # group of that block, which must end the scan before it asks for another.
+    with pytest.raises(TailNotConvergent) as info:
+        analytic_cost(RuntimeModel(constant(290.0), "geometric"), universal_schedule(),
+                      attempt_cap=10**12)
+    assert str(info.value) == (
+        "no tail certificate after 15327864 attempts of schedule universal,"
+        " whose blocks end at E = 280"
+    )
+    est = analytic_cost(RuntimeModel(constant(290.0), "deterministic"), universal_schedule(),
+                        attempt_cap=10**12)
+    got = (est.expected_cost, est.tail_bound, est.attempts_summed)
+    assert repr(got) == repr((2.935067886828244e+126, 0.0, 15327864))
 
 
 def test_oracle_vs_brute_force_deterministic():
@@ -357,8 +409,9 @@ def test_expected_runtime_helper():
 
 
 # (expected_cost, tail_bound, attempts_summed) of the unbounded scans at the
-# default eps_tail and attempt_cap, recorded before the universal and Luby
-# scans became one loop over Schedule.rounds(); they must not move by a bit.
+# default eps_tail and attempt_cap, recorded from earlier scans that summed a
+# round (a universal block or a Luby term) at a time; the piece-wise scan must
+# reproduce them bit for bit.
 # The adversarial_density x geometric pins are the package's Gauss-Kronrod
 # rule's bits; the values below were scipy.integrate.quad's (epsrel 1e-11),
 # and the pins must agree with them to that tolerance.
@@ -475,18 +528,32 @@ def test_scan_is_bit_identical_to_the_per_round_reference():
 
 
 def test_scan_calls_runtime_stats_once_per_distinct_budget(monkeypatch):
-    calls = []
+    calls, reference_calls = [], []
 
-    def counting_runtime_stats(model, budget):
-        calls.append(budget)
-        return distx.runtime_stats(model, budget)
+    def counting(calls):
+        def runtime_stats(model, budget):
+            calls.append(budget)
+            return distx.runtime_stats(model, budget)
 
-    monkeypatch.setattr(analysis, "runtime_stats", counting_runtime_stats)
+        return runtime_stats
+
+    monkeypatch.setattr(analysis, "runtime_stats", counting(calls))
+    monkeypatch.setattr(_brute, "runtime_stats", counting(reference_calls))
     schedule = luby_schedule(1.0)
     est = analytic_cost(RuntimeModel(two_point(8.0), "geometric"), schedule)
     budgets = set(itertools.islice(schedule.budgets(), est.attempts_summed))
     assert sorted(calls) == sorted(budgets)
     assert len(calls) == 14
+    # The universal scans also evaluate the closing pair of each block whose
+    # certificate they try, as the reference does, and nothing twice.
+    for law in distx.LAWS:
+        model = RuntimeModel(two_point(16.0), law)
+        calls.clear()
+        reference_calls.clear()
+        assert analytic_cost(model, universal_schedule()) == reference_scan_cost(
+            model, universal_schedule())
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(reference_calls)
 
 
 def test_scan_is_bit_identical_at_piece_edges():
@@ -542,13 +609,13 @@ def _small_models(draw):
 
 @given(
     _small_models(),
-    st.floats(min_value=0.25, max_value=8.0),
+    st.one_of(st.just(universal_schedule()),
+              st.floats(min_value=0.25, max_value=8.0).map(luby_schedule)),
     st.integers(min_value=0, max_value=5000),
     st.sampled_from([1e-4, 1e-10]),
 )
 @settings(max_examples=60, deadline=None)
-def test_luby_scan_matches_the_per_round_reference(model, unit, cap, eps_tail):
-    schedule = luby_schedule(unit)
+def test_unbounded_scan_matches_the_per_round_reference(model, schedule, cap, eps_tail):
     got = _scan_outcome(analytic_cost, model, schedule, attempt_cap=cap, eps_tail=eps_tail)
     assert got == _scan_outcome(reference_scan_cost, model, schedule, attempt_cap=cap,
                                 eps_tail=eps_tail)
