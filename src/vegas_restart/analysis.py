@@ -106,6 +106,8 @@ def analytic_cost(
     """
     if not eps_tail > 0.0:
         raise ValueError(f"eps_tail must be positive, got {eps_tail!r}")
+    if eps_tail == math.inf:
+        raise ValueError("eps_tail must be finite, got inf")
     if not (attempt_cap >= 0 and attempt_cap % 1 == 0):
         raise ValueError(f"attempt_cap must be a non-negative whole number, got {attempt_cap!r}")
     if schedule.cycle is not None:
@@ -294,21 +296,19 @@ def expected_runtime(model: RuntimeModel) -> float:
 # ---------------------------------------------------------------------------
 # Threshold-witness machinery.
 
-_GRID_POINTS = 10_001
-
-
 def _threshold_candidates(dist: DistX, t_lo: float, t_hi: float) -> np.ndarray:
-    """Grid plus just-above-atom (and support-edge) probe points in [t_lo, t_hi]."""
+    """The ends of [t_lo, t_hi] and the just-above-atom (or support-edge)
+    points inside it: t - ln Pr(X < t) takes its minimum over the interval at
+    one of them.  Pr(X < t) is constant between atoms, so there the function
+    rises with t; the density's t - ln(a * expm1(t)) falls up to t_max, and
+    past t_max Pr(X < t) = 1."""
     delta = 1e-9 * (1.0 + expectation(dist))
-    pts = [np.linspace(t_lo, t_hi, _GRID_POINTS)]
     if dist.family == "adversarial_density":
         t_max = distx.support_max(dist)
-        knots = np.array([delta, t_max - delta, t_max, t_max + delta])
+        knots = np.array([t_lo, t_hi, delta, t_max - delta, t_max, t_max + delta])
     else:
-        knots = np.array([x + delta for x, _ in dist.atoms])
-    pts.append(knots[(knots >= t_lo) & (knots <= t_hi)])
-    cands = np.unique(np.concatenate(pts))
-    return cands
+        knots = np.array([t_lo, t_hi] + [x + delta for x, _ in dist.atoms])
+    return np.unique(knots[(knots >= t_lo) & (knots <= t_hi)])
 
 
 def _min_log_ratio(dist: DistX, t_lo: float, t_hi: float):

@@ -103,6 +103,14 @@ def _number(obj: dict, name: str, convert, default):
         raise ConfigError(f"{name} must be a number, got {obj.get(name)!r}") from None
 
 
+def _check_eps_tail(eps_tail: float, name: str) -> float:
+    if not eps_tail > 0.0:
+        raise ConfigError(f"{name} must be positive, got {eps_tail!r}")
+    if eps_tail == math.inf:
+        raise ConfigError(f"{name} must be finite, got inf")
+    return eps_tail
+
+
 def parse_config(obj) -> list[ExperimentConfig]:
     """Parse one config object or a list of them; unknown fields are rejected."""
     entries = obj if isinstance(obj, list) else [obj]
@@ -130,10 +138,16 @@ def parse_config(obj) -> list[ExperimentConfig]:
                 max_attempts=_number(caps_obj, "max_attempts", int, Caps.max_attempts),
                 max_total_cost=_number(caps_obj, "max_total_cost", float, Caps.max_total_cost),
             )
+            # A NaN cost cap never trips, so a run that cannot succeed never ends.
+            if not caps.max_total_cost > 0.0:
+                raise ConfigError(f"max_total_cost must be positive, got {caps.max_total_cost!r}")
         trials = _number(entry, "trials", int, 100_000)
-        eps_tail = _number(entry, "eps_tail", float, 1e-10)
-        if not eps_tail > 0.0:
-            raise ConfigError(f"eps_tail must be positive, got {eps_tail!r}")
+        eps_tail = _check_eps_tail(_number(entry, "eps_tail", float, 1e-10), "eps_tail")
+        cap_trip_threshold = _number(entry, "cap_trip_threshold", float, 0.0)
+        if not 0.0 <= cap_trip_threshold < math.inf:
+            raise ConfigError(
+                f"cap_trip_threshold must be a finite number >= 0, got {cap_trip_threshold!r}"
+            )
         configs.append(
             ExperimentConfig(
                 distribution=entry["distribution"],
@@ -144,7 +158,7 @@ def parse_config(obj) -> list[ExperimentConfig]:
                 seed=_number(entry, "seed", int, 42),
                 eps_tail=eps_tail,
                 caps=caps,
-                cap_trip_threshold=_number(entry, "cap_trip_threshold", float, 0.0),
+                cap_trip_threshold=cap_trip_threshold,
             )
         )
     return configs
@@ -364,8 +378,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--e-stop must be >= --e-start")
     if not args.e_step > 0.0:
         raise ConfigError(f"--e-step must be positive, got {args.e_step!r}")
-    if not args.eps_tail > 0.0:
-        raise ConfigError(f"--eps-tail must be positive, got {args.eps_tail!r}")
+    _check_eps_tail(args.eps_tail, "--eps-tail")
     rows = []
     e = float(args.e_start)
     while e <= args.e_stop + 1e-12:

@@ -1,5 +1,6 @@
 """Independent brute-force oracles for cross-checking the renewal summation,
-and the per-round reference for the oracle's unbounded scan.
+the per-round reference for the oracle's unbounded scan, and the grid
+reference for lemma 3's threshold search.
 
 The brute-force oracles enumerate the full outcome tree of a finite attempt
 prefix from first principles (per-atom draws, and per-step coin flips for
@@ -10,6 +11,8 @@ the last attempt contribute their accrued cost.
 import itertools
 import math
 
+import numpy as np
+
 from vegas_restart import distx
 from vegas_restart.analysis import (
     _BLOCK_COST_FACTOR,
@@ -17,7 +20,7 @@ from vegas_restart.analysis import (
     TailNotConvergent,
     _group_partial,
 )
-from vegas_restart.distx import runtime_stats
+from vegas_restart.distx import expectation, runtime_stats
 from vegas_restart.schedules import budget_block, luby_value
 
 
@@ -130,3 +133,27 @@ def reference_scan_cost(model, schedule, eps_tail=1e-10, attempt_cap=10_000_000)
             if survival <= 0.0:
                 return CostEstimate(total, 0.0, attempts)
     raise RuntimeError("unreachable: schedules are infinite")
+
+
+# ---------------------------------------------------------------------------
+# Reference for lemma 3's threshold search: the candidate set of the
+# 10,001-point grid search, kept verbatim.  analysis._threshold_candidates
+# keeps only its exact candidates, the ends and the knots; with this set
+# patched in, find_threshold_witness and min_threshold_ratio run the grid
+# search.
+
+_GRID_POINTS = 10_001
+
+
+def reference_threshold_candidates(dist, t_lo, t_hi):
+    """Grid plus just-above-atom (and support-edge) probe points in [t_lo, t_hi]."""
+    delta = 1e-9 * (1.0 + expectation(dist))
+    pts = [np.linspace(t_lo, t_hi, _GRID_POINTS)]
+    if dist.family == "adversarial_density":
+        t_max = distx.support_max(dist)
+        knots = np.array([delta, t_max - delta, t_max, t_max + delta])
+    else:
+        knots = np.array([x + delta for x, _ in dist.atoms])
+    pts.append(knots[(knots >= t_lo) & (knots <= t_hi)])
+    cands = np.unique(np.concatenate(pts))
+    return cands

@@ -140,18 +140,26 @@ def test_oracle_rejects_bad_eps():
 
 def test_oracle_rejects_nan_eps_tail_on_a_cycle():
     # Unchecked, a NaN eps_tail fails later, in counting the cycles, with
-    # "cannot convert float NaN to integer".
+    # "cannot convert float NaN to integer", and an infinite one with
+    # "cannot convert float infinity to integer".
     model = RuntimeModel(two_point(4.0), "deterministic")
     with pytest.raises(ValueError, match="eps_tail must be positive, got nan"):
         analytic_cost(model, fixed_schedule(4.0), eps_tail=math.nan)
+    with pytest.raises(ValueError, match="eps_tail must be finite, got inf"):
+        analytic_cost(RuntimeModel(two_point(4.0), "geometric"), fixed_schedule(4.0),
+                      eps_tail=math.inf)
 
 
 def test_oracle_rejects_nan_eps_tail_on_a_scan():
     # Unchecked, a NaN eps_tail switches the certificate off, and this scan
-    # sums to zero survival: (6.671613793880576, 0.0, 3068).
+    # sums to zero survival: (6.671613793880576, 0.0, 3068).  An infinite
+    # one passes the certificate's survival test at once: universal returns
+    # (0.0, 13078592.513593188, 0), a bound with nothing summed.
     model = RuntimeModel(two_point(4.0), "geometric")
     with pytest.raises(ValueError, match="eps_tail must be positive, got nan"):
         analytic_cost(model, luby_schedule(1.0), eps_tail=math.nan)
+    with pytest.raises(ValueError, match="eps_tail must be finite, got inf"):
+        analytic_cost(model, universal_schedule(), eps_tail=math.inf)
 
 
 def test_oracle_rejects_an_attempt_cap_that_is_not_whole():
@@ -278,6 +286,74 @@ def test_min_threshold_ratio_empty_mass():
     assert math.isinf(ratio)
     with pytest.raises(ValueError):
         min_threshold_ratio(two_point(4.0), 1.0, 1.0)
+
+
+def _lemma3_pairs(dist, ranges):
+    verdict = find_threshold_witness(dist)
+    return [(verdict.witness, verdict.margin)] + [min_threshold_ratio(dist, lo, hi) for lo, hi in ranges]
+
+
+def _lemma3_against_the_grid(dist, ranges):
+    """(witness, margin or ratio) pairs of find_threshold_witness and of
+    min_threshold_ratio over each range, and the same from the grid search."""
+    got = _lemma3_pairs(dist, ranges)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_threshold_candidates", _brute.reference_threshold_candidates)
+        ref = _lemma3_pairs(dist, ranges)
+    return list(zip(got, ref))
+
+
+def _grid_landed_just_above_an_atom(dist, got, ref, is_margin):
+    """The one way the grid can beat the exact candidates: a grid point w in
+    (x, x + delta) above an atom x, where the candidate is x + delta.  Both
+    approach the infimum x - ln Pr(X < x+) from above, and w is closer to it
+    by less than delta in log space."""
+    delta = 1e-9 * (1.0 + expectation(dist))
+    (w_got, v_got), (w_ref, v_ref) = got, ref
+    if not any(x < w_ref < x + delta == w_got for x, _ in dist.atoms):
+        return False
+    gap = v_ref - v_got if is_margin else math.log(v_got) - math.log(v_ref)
+    return 0.0 < gap <= 1.01 * delta
+
+
+_LEMMA3_RANGES = ((0.0, 1.0), (0.5, 3.0), (-3.0, -1.0), (1.0, 12.0), (0.0, 12.0), (2.0, 310.0))
+
+
+def test_lemma3_search_is_bit_identical_to_the_grid_on_the_zoo():
+    for dist in zoo_distributions():
+        ex = expectation(dist)
+        ranges = _LEMMA3_RANGES + ((0.0, ex + 2.0), (-1.0, ex), (ex, ex + 5.0))
+        for got, ref in _lemma3_against_the_grid(dist, ranges):
+            assert repr(got) == repr(ref), dist.label
+
+
+def test_lemma3_grid_can_land_just_above_an_atom():
+    # E[X] is about 50, so delta is about 5e-8, and the grid of [0, 1] has the
+    # point 0.7258 inside (x, x + delta).
+    x = 0.7258 - 1e-8
+    dist = distx.discrete([(x, 0.5), (100.0, 0.5)])
+    (_, (got, ref)) = _lemma3_against_the_grid(dist, [(0.0, 1.0)])
+    assert ref[0] == 0.7258 and got[0] == x + 1e-9 * (1.0 + expectation(dist))
+    assert _grid_landed_just_above_an_atom(dist, got, ref, is_margin=False)
+
+
+@st.composite
+def _atom_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    xs = draw(st.lists(st.floats(min_value=0.0, max_value=300.0), min_size=n, max_size=n,
+                       unique=True))
+    weights = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n))
+    total = math.fsum(weights)
+    return distx.discrete([[x, w / total] for x, w in zip(xs, weights)])
+
+
+@given(_atom_sets(), st.floats(min_value=-5.0, max_value=305.0),
+       st.floats(min_value=1e-3, max_value=310.0))
+@settings(max_examples=200, deadline=None)
+def test_lemma3_search_matches_the_grid_on_random_atoms(dist, t_lo, width):
+    pairs = _lemma3_against_the_grid(dist, [(t_lo, t_lo + width)])
+    for i, (got, ref) in enumerate(pairs):
+        assert repr(got) == repr(ref) or _grid_landed_just_above_an_atom(dist, got, ref, i == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,16 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         ("eps_tail", None),
         ("eps_tail", 0.0),
         ("eps_tail", -1e-10),
+        ("eps_tail", math.inf),
+        ("eps_tail", math.nan),
         ("cap_trip_threshold", "half"),
+        ("cap_trip_threshold", math.nan),
+        ("cap_trip_threshold", math.inf),
+        ("cap_trip_threshold", -0.5),
         ("caps", {"max_attempts": "lots"}),
         ("caps", {"max_total_cost": None}),
+        ("caps", {"max_total_cost": math.nan}),
+        ("caps", {"max_total_cost": 0.0}),
     ]:
         bad = write_config(tmp_path, {**BASIC, field: value}, name="badvalue.json")
         for command in ("analyze", "simulate"):
@@ -389,6 +396,8 @@ def test_sweep_empty_schedules_is_config_error(capsys):
         ["--schedules", "fixed:7"],
         ["--schedules", "fixed", "--e-start", "nan"],
         ["--schedules", "fixed", "--e-stop", "nan"],
+        ["--schedules", "fixed", "--eps-tail", "inf"],
+        ["--law", "geometric", "--schedules", "fixed", "--eps-tail", "inf"],
     ],
 )
 def test_sweep_bad_arguments_are_config_errors(extra, capsys):

@@ -1,4 +1,4 @@
-"""The adaptive Gauss-Kronrod 7/15 rule behind the adversarial x geometric oracle."""
+"""The one-pass Gauss-Kronrod 7/15 rule behind the adversarial x geometric oracle."""
 
 import json
 import math
@@ -39,26 +39,35 @@ def test_kronrod_rule_misses_degree_24():
     assert abs(distx.GK_WEIGHTS[:, 0] @ distx.GK_NODES**24 - 2.0 / 25.0) > 1e-9
 
 
-def _rows(x):
-    return np.stack([np.sqrt(x), np.cos(x)])
-
-
-def test_quad_adapts_to_an_endpoint_singularity():
-    (root, cosine), (err_root, err_cos) = distx.quad(_rows, [0.0, 1.0])
-    assert root == pytest.approx(2.0 / 3.0, rel=1e-13)
+def test_quad_closes_cos_in_one_pass():
+    (cosine,), (err,) = distx.quad(lambda x: np.cos(x)[None], [0.0, 1.0])
     assert cosine == pytest.approx(math.sin(1.0), rel=1e-14)
-    assert err_root <= distx.QUAD_RTOL * root and err_cos <= distx.QUAD_RTOL * cosine
+    assert err <= distx.QUAD_RTOL * cosine
 
 
-def test_quad_raises_at_the_interval_limit(monkeypatch):
-    monkeypatch.setattr(distx, "QUAD_MAX_INTERVALS", 8)
-    with pytest.raises(IntegrationLimitError, match="more than 8 intervals"):
-        distx.quad(_rows, [0.0, 1.0])
+def test_quad_refuses_an_endpoint_singularity():
+    # One pass cannot resolve sqrt(x) at 0; the rule refuses instead of
+    # returning a value outside its tolerance, for the vector integrand too.
+    with pytest.raises(IntegrationLimitError, match="misses its tolerance in one pass"):
+        distx.quad(lambda x: np.sqrt(x)[None], [0.0, 1.0])
+    with pytest.raises(IntegrationLimitError):
+        distx.quad(lambda x: np.stack([np.cos(x), np.sqrt(x)]), [0.0, 1.0])
+
+
+def test_quad_raises_when_one_pass_misses_the_tolerance(monkeypatch):
+    monkeypatch.setattr(distx, "QUAD_RTOL", 1e-30)
+    with pytest.raises(IntegrationLimitError, match="misses its tolerance in one pass"):
+        distx.quad(lambda x: np.cos(x)[None], [0.0, 1.0])
+
+
+def test_quad_refuses_a_nan_integrand():
+    with pytest.raises(IntegrationLimitError):
+        distx.quad(lambda x: np.stack([np.cos(x), np.where(x > 0.5, np.nan, x)]), [0.0, 1.0])
 
 
 def test_limit_refuses_adversarial_geometric_stats(monkeypatch):
     model = RuntimeModel(adversarial_density(5.0), "geometric")
-    monkeypatch.setattr(distx, "QUAD_MAX_INTERVALS", 4)
+    monkeypatch.setattr(distx, "QUAD_RTOL", 1e-30)
     with pytest.raises(IntegrationLimitError):
         runtime_stats(model, 20.0)
     with pytest.raises(IntegrationLimitError):
@@ -72,11 +81,11 @@ def test_cli_maps_the_integration_limit_to_exit_3(monkeypatch, tmp_path, capsys)
         "law": "geometric",
         "schedule": {"kind": "universal"},
     }))
-    monkeypatch.setattr(distx, "QUAD_MAX_INTERVALS", 4)
+    monkeypatch.setattr(distx, "QUAD_RTOL", 1e-30)
     assert main(["analyze", "--config", str(cfg)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: quad starts from")
+    assert captured.err.startswith("error: quad")
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +130,18 @@ def test_adversarial_geometric_stats_match_scipy(E):
 
 
 # ---------------------------------------------------------------------------
-# No zoo, benchmark or extreme input comes near the interval limit: each
-# closes within a fifth of it.
+# Every zoo, benchmark, extreme and random input closes in one pass.
 
 
-def test_no_input_comes_near_the_interval_limit(monkeypatch):
-    monkeypatch.setattr(distx, "QUAD_MAX_INTERVALS", distx.QUAD_MAX_INTERVALS // 5)
+def test_every_input_closes_in_one_pass():
     for E in EXTREME_ES:
         for b in _extreme_budgets(E):
             runtime_stats(RuntimeModel(adversarial_density(E), "geometric"), b)
+    # E in (0, 300] and ln b in [0, 709]: the whole range the oracle accepts
+    # with a finite budget.
+    rng = np.random.default_rng(20261018)
+    for E, ln_b in zip(300.0 - rng.uniform(0.0, 300.0, 2000), rng.uniform(0.0, 709.0, 2000)):
+        runtime_stats(RuntimeModel(adversarial_density(E), "geometric"), math.exp(ln_b))
     # The zoo's adversarial E values and the oracle benchmark's E range.
     for E in sorted(set(distx.ZOO_ADVERSARIAL_ES) | set(np.linspace(5.0, 25.0, 41))):
         model = RuntimeModel(adversarial_density(E), "geometric")
