@@ -7,9 +7,6 @@ verify (zoo-wide guarantee suite), sweep (cost-vs-mean curves), demo
 Exit codes: 0 ok, 1 failed verify verdicts, 2 config/usage error, 3 tail not
 convergent or integral not converged, 4 infinite expected cost where the mode
 requires finite, 5 cap trips above the configured threshold.
-
-The worker count env var VEGAS_RESTART_THREADS is validated (a non-integer is
-a config error) but never affects results: trials run in order on one thread.
 """
 
 from __future__ import annotations
@@ -126,7 +123,7 @@ def parse_config(obj) -> list[ExperimentConfig]:
                 raise ConfigError(f"config is missing required field {required!r}")
         if entry["law"] not in distx.LAWS:
             raise ConfigError(f"law must be one of {distx.LAWS}, got {entry['law']!r}")
-        mode = entry.get("mode", "both")
+        mode = entry.get("mode", ExperimentConfig.mode)
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
         caps = None
@@ -138,12 +135,19 @@ def parse_config(obj) -> list[ExperimentConfig]:
                 max_attempts=_number(caps_obj, "max_attempts", int, Caps.max_attempts),
                 max_total_cost=_number(caps_obj, "max_total_cost", float, Caps.max_total_cost),
             )
+            # Below one attempt no trial can run; every one would count as capped.
+            if caps.max_attempts < 1:
+                raise ConfigError(f"max_attempts must be >= 1, got {caps.max_attempts!r}")
             # A NaN cost cap never trips, so a run that cannot succeed never ends.
             if not caps.max_total_cost > 0.0:
                 raise ConfigError(f"max_total_cost must be positive, got {caps.max_total_cost!r}")
-        trials = _number(entry, "trials", int, 100_000)
-        eps_tail = _check_eps_tail(_number(entry, "eps_tail", float, 1e-10), "eps_tail")
-        cap_trip_threshold = _number(entry, "cap_trip_threshold", float, 0.0)
+        trials = _number(entry, "trials", int, ExperimentConfig.trials)
+        eps_tail = _check_eps_tail(
+            _number(entry, "eps_tail", float, ExperimentConfig.eps_tail), "eps_tail"
+        )
+        cap_trip_threshold = _number(
+            entry, "cap_trip_threshold", float, ExperimentConfig.cap_trip_threshold
+        )
         if not 0.0 <= cap_trip_threshold < math.inf:
             raise ConfigError(
                 f"cap_trip_threshold must be a finite number >= 0, got {cap_trip_threshold!r}"
@@ -155,7 +159,7 @@ def parse_config(obj) -> list[ExperimentConfig]:
                 schedule=entry["schedule"],
                 mode=mode,
                 trials=trials,
-                seed=_number(entry, "seed", int, 42),
+                seed=_number(entry, "seed", int, ExperimentConfig.seed),
                 eps_tail=eps_tail,
                 caps=caps,
                 cap_trip_threshold=cap_trip_threshold,
@@ -283,10 +287,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        workers = engine.resolve_workers()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     rows = []
     tripped = False
     for cfg, dist, model, sched in _resolved_configs(args):
@@ -298,7 +298,6 @@ def cmd_simulate(args) -> int:
             seed=cfg.seed,
             caps=caps,
             on_cap="count",
-            workers=workers,
         )
         row = _base_row(cfg, dist, model, sched)
         row["mc_mean"] = estimate.mean
@@ -378,6 +377,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--e-stop must be >= --e-start")
     if not args.e_step > 0.0:
         raise ConfigError(f"--e-step must be positive, got {args.e_step!r}")
+    # A step lost in rounding at the end of the range never moves E there.
+    if args.e_stop + args.e_step == args.e_stop:
+        raise ConfigError(f"--e-step {args.e_step!r} is too small to move E at {args.e_stop!r}")
     _check_eps_tail(args.eps_tail, "--eps-tail")
     rows = []
     e = float(args.e_start)
@@ -478,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedules", required=True, help="comma list, e.g. fixed,universal")
     p.add_argument("--law", default="deterministic", choices=distx.LAWS)
     p.add_argument("--t", default=None, help="threshold expression for fixed_t families, e.g. 2E")
-    p.add_argument("--eps-tail", type=float, default=1e-10)
+    p.add_argument("--eps-tail", type=float, default=ExperimentConfig.eps_tail)
     add_io(p)
     p.set_defaults(fn=cmd_sweep)
 

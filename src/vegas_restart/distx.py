@@ -87,12 +87,11 @@ def _validate_atoms(atoms) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def discrete(atoms, kind: str = "discrete", params=None) -> DistX:
+def discrete(atoms) -> DistX:
     """Discrete distribution from (x, p) pairs; probabilities must sum to 1."""
     clean = _validate_atoms(atoms)
-    if params is None:
-        params = tuple((f"x{i}", x) for i, (x, _) in enumerate(clean))
-    return DistX(family="discrete", kind=kind, params=tuple(params), atoms=clean)
+    params = tuple((f"x{i}", x) for i, (x, _) in enumerate(clean))
+    return DistX(family="discrete", kind="discrete", params=params, atoms=clean)
 
 
 def constant(c: float) -> DistX:

@@ -11,7 +11,6 @@ exist to prove the attempt interface against the sampler algebra.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +63,6 @@ class ExecutionReport:
     success: bool
     total_cost: float
     attempts: int
-    succeeding_index: int | None = None
-    per_attempt: tuple[AttemptOutcome, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -164,9 +161,9 @@ def bitstring_guess_process(k: int) -> ResumableProcess:
     )
 
 
-def bitstring_guess_model(k: int, law: str = "geometric") -> RuntimeModel:
+def bitstring_guess_model(k: int) -> RuntimeModel:
     """The runtime model matching bitstring_guess_process(k): X = k*ln(2)."""
-    return RuntimeModel(distx.constant(int(k) * math.log(2.0)), law)
+    return RuntimeModel(distx.constant(int(k) * math.log(2.0)), "geometric")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +211,6 @@ def run_with_schedule(
     schedule: Schedule,
     rng: TrialRng,
     caps: Caps | None = None,
-    record: bool = False,
 ) -> ExecutionReport:
     """Run attempts at schedule budgets until first success or a cap trips.
 
@@ -224,37 +220,17 @@ def run_with_schedule(
     caps = caps or Caps()
     total = 0.0
     attempts = 0
-    trace = [] if record else None
     for budget in schedule.budgets():
         if attempts + 1 > caps.max_attempts:
-            report = ExecutionReport(False, total, attempts, None, _trace(trace))
-            raise CapExceeded("max_attempts", report)
+            raise CapExceeded("max_attempts", ExecutionReport(False, total, attempts))
         attempts += 1
         outcome = run_once_truncated(process, budget, rng.attempt(attempts))
         total += outcome.cost
-        if record:
-            trace.append(outcome)
         if outcome.success:
-            return ExecutionReport(True, total, attempts, attempts, _trace(trace))
+            return ExecutionReport(True, total, attempts)
         if total > caps.max_total_cost:
-            report = ExecutionReport(False, total, attempts, None, _trace(trace))
-            raise CapExceeded("max_total_cost", report)
+            raise CapExceeded("max_total_cost", ExecutionReport(False, total, attempts))
     raise RuntimeError("unreachable: schedules are infinite")
-
-
-def _trace(trace):
-    return tuple(trace) if trace is not None else None
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """The worker count: workers if given, else VEGAS_RESTART_THREADS (default 1)."""
-    if workers is None:
-        raw = os.environ.get("VEGAS_RESTART_THREADS", "1") or "1"
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"VEGAS_RESTART_THREADS must be an integer, got {raw!r}") from None
-    return max(1, int(workers))
 
 
 def mc_expected_cost(
@@ -264,12 +240,11 @@ def mc_expected_cost(
     seed: int,
     caps: Caps | None = None,
     on_cap: str = "raise",
-    workers: int | None = None,
 ) -> MCEstimate:
     """Monte Carlo estimate of expected total cost over independent trials.
 
-    Trial i uses streams keyed (seed, i, attempt), so the result is identical
-    for any worker count and bit-for-bit reproducible for a fixed seed.  With
+    Trial i uses streams keyed (seed, i, attempt), so the result depends only
+    on those keys and is bit-for-bit reproducible for a fixed seed.  With
     on_cap="count", trials that trip a cap contribute their accrued cost and
     are tallied in n_capped instead of raising.
     """
@@ -281,10 +256,6 @@ def mc_expected_cost(
     caps = caps or Caps()
     costs = np.empty(trials, dtype=np.float64)
     capped = np.zeros(trials, dtype=bool)
-
-    # The worker count is validated, but the trials run on this thread in
-    # order: worker threads shared the interpreter lock and bought no speed.
-    resolve_workers(workers)
     for trial in range(trials):
         try:
             report = run_with_schedule(process, schedule, TrialRng(seed, trial), caps)

@@ -2,9 +2,9 @@
 
 Every draw is a pure function of (key, draw index), where the key is mixed
 from caller-supplied integer words such as (seed, trial, attempt).  This makes
-simulation results reproducible and independent of how trials are partitioned
-across workers.  The mixer is the splitmix64 finalizer driven by a Weyl
-sequence, the same construction used by splittable PRNGs.
+simulation results reproducible and independent of how trials are split up.
+The mixer is the splitmix64 finalizer driven by a Weyl sequence, the same
+construction used by splittable PRNGs.
 """
 
 from __future__ import annotations

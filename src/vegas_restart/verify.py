@@ -167,29 +167,29 @@ def _bounds_zoo() -> list[RuntimeModel]:
     return [m for m in zoo_models() if lo <= expectation(m.dist) <= hi]
 
 
-def verify_bounds(eps_tail: float = 1e-10) -> list[VerdictRow]:
+def verify_bounds() -> list[VerdictRow]:
     rows = []
     for model in _bounds_zoo():
         ex = expectation(model.dist)
         label = model.label
 
-        est = analytic_cost(model, schedules.fixed_schedule(ex), eps_tail)
+        est = analytic_cost(model, schedules.fixed_schedule(ex))
         bound = ALG1_BOUND_CONSTANT * math.exp(ex + 1.0) * (ex + 1.0)
         rows.append(_row("bounds", f"fixed {label}", est.upper <= bound,
                          math.log(bound) - math.log(est.upper)))
 
-        est = analytic_cost(model, schedules.two_threshold_schedule(ex), eps_tail)
+        est = analytic_cost(model, schedules.two_threshold_schedule(ex))
         bound = ALG3_BOUND_CONSTANT * math.exp(ex) * (math.log(ex) + 2.0)
         rows.append(_row("bounds", f"two_threshold {label}", est.upper <= bound,
                          math.log(bound) - math.log(est.upper)))
 
         e4 = max(ex, 5.0)
-        est = analytic_cost(model, schedules.specific_e_schedule(e4), eps_tail)
+        est = analytic_cost(model, schedules.specific_e_schedule(e4))
         bound = ALG4_BOUND_CONSTANT * math.exp(e4)
         rows.append(_row("bounds", f"specific_E {label}", est.upper <= bound,
                          math.log(bound) - math.log(est.upper)))
 
-        est = analytic_cost(model, schedules.universal_schedule(), eps_tail)
+        est = analytic_cost(model, schedules.universal_schedule())
         bound = ALG5_BOUND_CONSTANT * math.exp(ex)
         rows.append(_row("bounds", f"universal {label}", est.upper <= bound,
                          math.log(bound) - math.log(est.upper)))

@@ -131,15 +131,21 @@ def test_run_with_schedule_universal_always_succeeds():
 
 def test_report_cost_identity_under_deterministic_law():
     # With the zero-variance law every failed attempt costs its full budget.
+    # Attempt j replayed on its own stream gives the outcome the schedule run
+    # saw, so the report's total is the exact sum of the replayed costs.
     proc = SamplerProcess(RuntimeModel(two_point(4.0), "deterministic"))
     sched = single_threshold_schedule(0.0)
-    budgets = [sched.budget(i) for i in range(1, 200)]
     for trial in range(200):
-        report = run_with_schedule(proc, sched, TrialRng(seed=5, trial=trial), record=True)
-        i = report.succeeding_index
-        expected = sum(budgets[: i - 1]) + report.per_attempt[-1].cost
-        assert report.total_cost == pytest.approx(expected, rel=1e-12)
-        assert report.success and len(report.per_attempt) == report.attempts
+        rng = TrialRng(seed=5, trial=trial)
+        report = run_with_schedule(proc, sched, rng)
+        outcomes = [
+            run_once_truncated(proc, sched.budget(j), rng.attempt(j))
+            for j in range(1, report.attempts + 1)
+        ]
+        assert report.success and outcomes[-1].success
+        for j, outcome in enumerate(outcomes[:-1], start=1):
+            assert not outcome.success and outcome.cost == sched.budget(j)
+        assert report.total_cost == sum(outcome.cost for outcome in outcomes)
 
 
 def test_attempt_outcomes_are_independent_across_indices():
@@ -187,17 +193,6 @@ def test_mc_bit_identical_reruns():
     a = mc_expected_cost(proc, sched, trials=5_000, seed=9)
     b = mc_expected_cost(proc, sched, trials=5_000, seed=9)
     assert a.mean == b.mean and a.std_error == b.std_error
-
-
-def test_mc_worker_count_invariance(monkeypatch):
-    proc = SamplerProcess(RuntimeModel(two_point(4.0), "geometric"))
-    sched = single_threshold_schedule(0.0)
-    base = mc_expected_cost(proc, sched, trials=4_000, seed=11, workers=1)
-    threaded = mc_expected_cost(proc, sched, trials=4_000, seed=11, workers=3)
-    assert base.mean == threaded.mean and base.std_error == threaded.std_error
-    monkeypatch.setenv("VEGAS_RESTART_THREADS", "5")
-    via_env = mc_expected_cost(proc, sched, trials=4_000, seed=11)
-    assert via_env.mean == base.mean
 
 
 def test_mc_cap_counting_mode():
