@@ -16,8 +16,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import distx, starfn
 from .distx import DistX, RuntimeModel, cdf, cdf_strict, expectation, runtime_stats
 from .schedules import MAX_BLOCK_PARAM, Schedule, budget_block, luby_pieces
@@ -147,12 +145,13 @@ def _cyclic_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     return CostEstimate(partial, tail, n_cycles * cycle_attempts)
 
 
-# A piece of an unbounded schedule is (ids, group, tail).  ids are the slots
-# of its terms in the scan's tables; every term but the last is one attempt
-# whose slot is filled.  group is the last term's (count, budget), evaluated
-# into its slot when the scan reaches it.  tail(attempts, survival) bounds the
-# rest of the series before a term, or gives None before every term of the
-# piece; with tail None only exact zero survival is checked.
+# A piece of an unbounded schedule is (head, slot, group, tail).  group is the
+# piece's last term, (count, budget), evaluated into the slot of the scan's
+# tables when the scan reaches it.  head is None for a piece of that term
+# alone; for a Luby run it holds the table slots of the terms before it, one
+# attempt each, all filled.  tail(attempts, survival) bounds the rest of the
+# series before a term, or gives None before every term of the piece; with
+# tail None only exact zero survival is checked.
 
 
 def _universal_tail(e, stats, attempts, survival):
@@ -174,7 +173,7 @@ def _universal_pieces(stats):
     for e in range(5, int(MAX_BLOCK_PARAM) + 1):
         tail = functools.partial(_universal_tail, e, stats)
         for group in budget_block(float(e)):
-            yield np.zeros(1, np.intp), group, tail
+            yield None, 0, group, tail
             tail = None
 
 
@@ -197,12 +196,18 @@ def _luby_tail(unit, stats, attempts, survival):
 
 # A Luby piece is a run S_k whose levels are all evaluated, or a single term
 # (schedules.luby_pieces); level k lives in slot k.  S_k is the first
-# 2**k - 1 entries of _LUBY_LEVELS, the levels of S_12 (32 KB), built by
+# 2**k - 1 entries of _luby_levels(), the levels of S_12, built by
 # S_{k+1} = S_k S_k 2**k.
 _LUBY_DEPTH = 12
-_LUBY_LEVELS = functools.reduce(
-    lambda s, k: np.concatenate([s, s, [k]]), range(_LUBY_DEPTH), np.zeros(0, np.intp)
-)
+
+
+@functools.cache
+def _luby_levels():
+    import numpy as np
+
+    return functools.reduce(
+        lambda s, k: np.concatenate([s, s, [k]]), range(_LUBY_DEPTH), np.zeros(0, np.intp)
+    )
 
 
 def _luby_pieces(unit, stats):
@@ -211,13 +216,14 @@ def _luby_pieces(unit, stats):
     tail = functools.partial(_luby_tail, unit, stats)
     for k, levels in luby_pieces(_LUBY_DEPTH):
         if k:
-            yield _LUBY_LEVELS[: (1 << k) - 1], (1, unit * (1 << (k - 1))), tail
+            head = _luby_levels()[: (1 << k) - 2] if k > 1 else None
+            yield head, k - 1, (1, unit * (1 << (k - 1))), tail
         for level in levels:
-            yield np.array([level]), (1, unit * (1 << level)), tail
+            yield None, level, (1, unit * (1 << level)), tail
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True in a nonempty mask, or its length if none."""
+def _first(mask) -> int:
+    """Index of the first True in a nonempty numpy mask, or its length if none."""
     i = int(mask.argmax())
     return i if mask[i] else len(mask)
 
@@ -230,24 +236,32 @@ def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     else:
         pieces = _luby_pieces(dict(schedule.params)["unit"], stats)
     # _group_terms per slot; Luby level 64 would first come after 2**65 attempts.
-    partials, factors = np.zeros(64), np.zeros(64)
+    partials, factors = [0.0] * 64, [0.0] * 64
     survival, total, attempts = 1.0, 0.0, 0
-    for ids, group, tail in pieces:
-        # s[i], t[i]: survival and total before the piece's i-th term, from
-        # survival *= factor and total += survival * partial; the last term is
-        # summed after the checks.  accumulate runs left to right, so it
-        # rounds as a per-term loop does (np.sum would not).
-        n, head = len(ids), ids[:-1]
-        s = np.multiply.accumulate(np.concatenate(([survival], factors[head])))
-        t = np.add.accumulate(np.concatenate(([total], s[:-1] * partials[head])))
+    for head, slot, group, tail in pieces:
+        # s[i], t[i]: survival and total before the piece's i-th term; the
+        # last term is summed after the checks.
+        if head is None:
+            s, t = (survival,), (total,)
+            i_zero = 0 if survival <= 0.0 else 1
+            i_cert = 0 if survival <= eps_tail else 1
+        else:
+            # A Luby run.  numpy's accumulate runs left to right, so it rounds
+            # as a per-term loop does (np.sum would not).
+            import numpy as np
+
+            s = np.multiply.accumulate(np.concatenate(([survival], np.asarray(factors)[head])))
+            t = np.add.accumulate(np.concatenate(([total], s[:-1] * np.asarray(partials)[head])))
+            i_zero, i_cert = _first(s <= 0.0), _first(s <= eps_tail)
         # The first term that ends the scan.  Before a term: exact zero
         # survival left by the term before; then, where the piece has a
         # certificate, the certificate once survival <= eps_tail, and the
         # attempt cap.
-        i_zero = _first(s <= 0.0)
-        i_cert = i_cap = n
-        if tail is not None:
-            i_cert = _first(s <= eps_tail)
+        n = len(s)
+        i_cap = n
+        if tail is None:
+            i_cert = n
+        else:
             i_cap = min(max(attempt_cap + 1 - attempts, 0), n)
         if i_cert < min(i_zero, i_cap + 1):
             bound = tail(attempts + i_cert, float(s[i_cert]))
@@ -260,7 +274,7 @@ def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
                 f"no tail certificate after {attempts + i_cap} attempts of schedule {schedule.label}"
             )
         partial, factor = _group_terms(model, stats, *group)
-        partials[ids[-1]], factors[ids[-1]] = partial, factor
+        partials[slot], factors[slot] = partial, factor
         total = float(t[-1]) + float(s[-1]) * partial
         survival = float(s[-1]) * factor
         attempts += n - 1 + group[0]
@@ -296,31 +310,33 @@ def expected_runtime(model: RuntimeModel) -> float:
 # ---------------------------------------------------------------------------
 # Threshold-witness machinery.
 
-def _threshold_candidates(dist: DistX, t_lo: float, t_hi: float) -> np.ndarray:
+def _threshold_candidates(dist: DistX, t_lo: float, t_hi: float) -> list[float]:
     """The ends of [t_lo, t_hi] and the just-above-atom (or support-edge)
-    points inside it: t - ln Pr(X < t) takes its minimum over the interval at
-    one of them.  Pr(X < t) is constant between atoms, so there the function
-    rises with t; the density's t - ln(a * expm1(t)) falls up to t_max, and
-    past t_max Pr(X < t) = 1."""
+    points inside it, sorted: t - ln Pr(X < t) takes its minimum over the
+    interval at one of them.  Pr(X < t) is constant between atoms, so there the
+    function rises with t; the density's t - ln(a * expm1(t)) falls up to
+    t_max, and past t_max Pr(X < t) = 1."""
     delta = 1e-9 * (1.0 + expectation(dist))
     if dist.family == "adversarial_density":
         t_max = distx.support_max(dist)
-        knots = np.array([t_lo, t_hi, delta, t_max - delta, t_max, t_max + delta])
+        knots = [t_lo, t_hi, delta, t_max - delta, t_max, t_max + delta]
     else:
-        knots = np.array([t_lo, t_hi] + [x + delta for x, _ in dist.atoms])
-    return np.unique(knots[(knots >= t_lo) & (knots <= t_hi)])
+        knots = [t_lo, t_hi] + [x + delta for x, _ in dist.atoms]
+    return sorted({t for t in knots if t_lo <= t <= t_hi})
 
 
 def _min_log_ratio(dist: DistX, t_lo: float, t_hi: float):
     """Minimize t - ln Pr(X < t) over the candidate set; None if Pr is 0 throughout."""
     ts = _threshold_candidates(dist, t_lo, t_hi)
-    probs = cdf_strict(dist, ts)
-    mask = probs > 0.0
-    if not mask.any():
+    if dist.family == "adversarial_density":
+        from numpy import log  # np.log sets the density's bits
+    else:
+        log = math.log
+    ratios = [(t - log(p), t) for t in ts if (p := cdf_strict(dist, t)) > 0.0]
+    if not ratios:
         return None
-    log_ratio = ts[mask] - np.log(probs[mask])
-    idx = int(np.argmin(log_ratio))
-    return float(ts[mask][idx]), float(log_ratio[idx])
+    log_ratio, witness = min(ratios, key=lambda r: r[0])  # the first minimum
+    return float(witness), float(log_ratio)
 
 
 def find_threshold_witness(dist: DistX) -> LemmaVerdict:
@@ -387,8 +403,8 @@ def check_block_coverage(dist: DistX, e: float) -> LemmaVerdict:
     """
     e = _require_upper_bound(dist, e)
     values = starfn.shrink_trace(e).values
-    # Pr(X < e - v[k]) for every step k, then Pr(X < e + 10), in one call.
-    lhs = cdf_strict(dist, [e - v for v in values[1:]] + [e + 10.0]).tolist()
+    # Pr(X < e - v[k]) for every step k, then Pr(X < e + 10).
+    lhs = [cdf_strict(dist, t) for t in [e - v for v in values[1:]] + [e + 10.0]]
     for k in range(1, len(values)):
         rhs = 1.0 / ((values[k - 1] + 2.0) ** 2 + 1.0)
         if lhs[k - 1] >= rhs:

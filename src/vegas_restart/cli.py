@@ -61,6 +61,9 @@ SWEEP_COLUMNS = [
 
 VERIFY_COLUMNS = ["scope", "name", "holds", "margin", "detail"]
 
+# The most values of E one sweep may visit, floor((stop - start) / step) + 1.
+MAX_SWEEP_POINTS = 10_000
+
 _CONFIG_FIELDS = {
     "distribution",
     "law",
@@ -380,6 +383,12 @@ def cmd_sweep(args) -> int:
     # A step lost in rounding at the end of the range never moves E there.
     if args.e_stop + args.e_step == args.e_stop:
         raise ConfigError(f"--e-step {args.e_step!r} is too small to move E at {args.e_stop!r}")
+    # floor(r) + 1 > MAX_SWEEP_POINTS iff r >= MAX_SWEEP_POINTS, an overflow to inf included.
+    if (args.e_stop - args.e_start) / args.e_step >= MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep range {args.e_start!r} to {args.e_stop!r} in steps of {args.e_step!r} "
+            f"holds more than {MAX_SWEEP_POINTS} values of E"
+        )
     _check_eps_tail(args.eps_tail, "--eps-tail")
     rows = []
     e = float(args.e_start)

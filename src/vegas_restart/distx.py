@@ -11,17 +11,19 @@ equals the budget exactly counts as a success.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 # Support values are capped so exp(x) and the largest schedule budgets stay
 # inside double range.
 MAX_SUPPORT_LOG = 300.0
 
 _ATOM_PROB_TOL = 1e-12
+# 2**1074: every double is a whole number of 2**-1074 units.
+_ULP_SCALE = 1 << 1074
 
 LAWS = ("deterministic", "geometric")
 
@@ -46,6 +48,23 @@ class DistX:
         inner = ",".join(f"{k}={v:g}" for k, v in self.params)
         return f"{self.kind}({inner})"
 
+    @functools.cached_property
+    def atom_prefixes(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(positions, prefixes) of the atoms: prefixes[i] = Pr(X < positions[i])
+        for each atom, then the total past the last, each equal to math.fsum of
+        the probabilities before it.
+
+        Every double is a whole multiple of 2**-1074, so the running sums are
+        exact integers in those units; int / int rounds correctly, as fsum
+        does.  Built once per distribution, in O(n).
+        """
+        total, sums = 0, [0.0]
+        for _, p in self.atoms:
+            num, den = p.as_integer_ratio()
+            total += num * (_ULP_SCALE // den)
+            sums.append(total / _ULP_SCALE)
+        return tuple(x for x, _ in self.atoms), tuple(sums)
+
 
 @dataclass(frozen=True)
 class RuntimeModel:
@@ -65,7 +84,6 @@ class RuntimeModel:
 
 def _validate_atoms(atoms) -> tuple[tuple[float, float], ...]:
     out = []
-    total = 0.0
     for x, p in atoms:
         x, p = float(x), float(p)
         if not math.isfinite(x) or x < 0.0:
@@ -75,9 +93,9 @@ def _validate_atoms(atoms) -> tuple[tuple[float, float], ...]:
         if not (0.0 < p <= 1.0):
             raise ValueError(f"atom probabilities must lie in (0, 1], got {p!r}")
         out.append((x, p))
-        total += p
     if not out:
         raise ValueError("a discrete distribution needs at least one atom")
+    total = math.fsum(p for _, p in out)
     if abs(total - 1.0) > _ATOM_PROB_TOL:
         raise ValueError(f"atom probabilities sum to {total!r}, not 1")
     out.sort()
@@ -246,7 +264,15 @@ def support_max(dist: DistX) -> float:
     return dist.atoms[-1][0]
 
 
-def _cdf(dist: DistX, t, side: str) -> float | np.ndarray:
+def _cdf(dist: DistX, t, side: str):
+    if dist.family != "adversarial_density":
+        xs, prefixes = dist.atom_prefixes
+        if isinstance(t, (float, int)):
+            search = bisect.bisect_left if side == "left" else bisect.bisect_right
+            # NaN sorts past every atom, where np.searchsorted puts it.
+            return prefixes[search(xs, float(t)) if t == t else -1]
+    import numpy as np  # np.expm1 sets the density's bits, for scalars too
+
     ts = np.asarray(t, dtype=float)
     if dist.family == "adversarial_density":
         a, t_max = _adv_consts(dist)
@@ -255,11 +281,7 @@ def _cdf(dist: DistX, t, side: str) -> float | np.ndarray:
         out = np.clip(a * np.expm1(np.minimum(ts, t_max)), 0.0, 1.0)
         out = np.where(ts <= 0.0, 0.0, np.where(ts >= t_max, 1.0, out))
     else:
-        # Pr(X < x_i) for each atom, and 1 past the last; fsum keeps every
-        # prefix exact.
-        probs = [p for _, p in dist.atoms]
-        prefix = np.array([math.fsum(probs[:i]) for i in range(len(probs) + 1)])
-        out = prefix[np.searchsorted([x for x, _ in dist.atoms], ts, side=side)]
+        out = np.array(prefixes)[np.searchsorted(xs, ts, side=side)]
     return float(out) if out.ndim == 0 else out
 
 
@@ -335,7 +357,7 @@ def _geom_mean_trunc(p: float, n: float) -> float:
 # weight, Gauss weight) for the 8 of the 15 Kronrod nodes on [-1, 1] that are
 # >= 0.  Every other node from the second is a 7-point Gauss node; the Gauss
 # weight is 0 at the others.
-_QK15 = np.array([
+_QK15 = (
     (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
     (0.949107912342758524526189684047851, 0.063092092629978553290700663189204, 0.129484966168869693270611432679082),
     (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
@@ -344,13 +366,22 @@ _QK15 = np.array([
     (0.405845151377397166906606412076961, 0.190350578064785409913256402421014, 0.381830050505118944950369775488975),
     (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
     (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
-])
-# All 15 nodes in increasing order, and their (Kronrod, Gauss) weight columns.
-GK_NODES = np.concatenate([-_QK15[:, 0], _QK15[-2::-1, 0]])
-GK_WEIGHTS = np.concatenate([_QK15[:, 1:], _QK15[-2::-1, 1:]])
-_KRONROD = np.ascontiguousarray(GK_WEIGHTS[:, 0])
-# Columns: the Kronrod sum and the Kronrod-minus-Gauss difference.
-_GK_SUMS = np.stack([_KRONROD, _KRONROD - GK_WEIGHTS[:, 1]], axis=1)
+)
+
+
+@functools.cache
+def gk_rule():
+    """(nodes, weights, kronrod, sums) as numpy arrays, built on first use:
+    all 15 nodes in increasing order, their (Kronrod, Gauss) weight columns,
+    the Kronrod column, and the columns Kronrod and Kronrod minus Gauss."""
+    import numpy as np
+
+    qk15 = np.array(_QK15)
+    nodes = np.concatenate([-qk15[:, 0], qk15[-2::-1, 0]])
+    weights = np.concatenate([qk15[:, 1:], qk15[-2::-1, 1:]])
+    kronrod = np.ascontiguousarray(weights[:, 0])
+    return nodes, weights, kronrod, np.stack([kronrod, kronrod - weights[:, 1]], axis=1)
+
 
 QUAD_RTOL = 1e-12
 # Absolute floor of the tolerance: an integral below it counts as zero.
@@ -372,17 +403,20 @@ def quad(f, points):
     estimate is at most max(QUAD_RTOL * |value|, QUAD_ATOL); raises
     IntegrationLimitError otherwise, and for a NaN integrand.
     """
+    import numpy as np
+
+    nodes, _, kronrod_w, gk_sums = gk_rule()
     lo = np.asarray(points[:-1], dtype=float)
     half = 0.5 * (np.asarray(points[1:], dtype=float) - lo)
-    fx = f((lo + half)[:, None] + half[:, None] * GK_NODES)
-    sums = fx @ _GK_SUMS
+    fx = f((lo + half)[:, None] + half[:, None] * nodes)
+    sums = fx @ gk_sums
     kronrod = sums[..., 0]
     err = np.abs(sums[..., 1])
-    spread = np.abs(fx - 0.5 * kronrod[..., None]) @ _KRONROD
+    spread = np.abs(fx - 0.5 * kronrod[..., None]) @ kronrod_w
     # qk15's scaling: a small Gauss-Kronrod difference means a much smaller
     # Kronrod error, but never below what rounding leaves.
     ratio = np.minimum(200.0 * err, spread) / np.maximum(spread, sys.float_info.min)
-    err = np.maximum(spread * ratio * np.sqrt(ratio), _ROUNDOFF * (np.abs(fx) @ _KRONROD))
+    err = np.maximum(spread * ratio * np.sqrt(ratio), _ROUNDOFF * (np.abs(fx) @ kronrod_w))
     total, total_err = (kronrod * half).sum(axis=1), (err * half).sum(axis=1)
     tol = np.maximum(QUAD_RTOL * np.abs(total), QUAD_ATOL)
     if not np.all(total_err <= tol):  # a NaN fails this too
@@ -425,6 +459,8 @@ def _adv_geometric_stats(dist: DistX, n: float) -> tuple[float, float]:
     (1 - (1 - e^-x)^n) e^x steps on average; q and m integrate both against
     the density e^(x - (E+1)) over the same nodes.
     """
+    import numpy as np  # np.log1p, np.exp and np.expm1 set these bits
+
     e1 = dist.E + 1.0
     _, t_max = _adv_consts(dist)
 

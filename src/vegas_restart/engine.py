@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import distx
 from .distx import DistX, RuntimeModel
 from .schedules import Schedule
@@ -110,7 +108,7 @@ def _first_hit(rng: CounterStream, n: int, hit) -> tuple[bool, int]:
     for start in range(0, n, _CHUNK):
         hits = hit(rng.random(min(_CHUNK, n - start)))
         if hits.any():
-            return True, start + int(np.argmax(hits)) + 1
+            return True, start + int(hits.argmax()) + 1
     return False, max(n, 0)
 
 
@@ -150,7 +148,7 @@ class BitstringGuessRun:
 
     def advance(self, n: int) -> tuple[bool, int]:
         return _first_hit(
-            self._rng, n, lambda u: (u * self._space).astype(np.int64) == self._target
+            self._rng, n, lambda u: (u * self._space).astype("int64") == self._target
         )
 
 
@@ -253,6 +251,8 @@ def mc_expected_cost(
         raise ValueError(f"need at least 2 trials, got {trials}")
     if on_cap not in ("raise", "count"):
         raise ValueError(f"on_cap must be 'raise' or 'count', got {on_cap!r}")
+    import numpy as np  # its pairwise sums set the mean and SE bits
+
     caps = caps or Caps()
     costs = np.empty(trials, dtype=np.float64)
     capped = np.zeros(trials, dtype=bool)

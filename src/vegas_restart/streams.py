@@ -9,8 +9,6 @@ construction used by splittable PRNGs.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MULT_A = 0xBF58476D1CE4E5B9
@@ -52,6 +50,8 @@ class CounterStream:
         if size is None:
             self._i += 1
             return (mix64((self.key + self._i * _GOLDEN) & _MASK) >> 11) * 2.0**-53
+        import numpy as np  # once per vector of draws
+
         start = self._i
         self._i += int(size)
         idx = np.arange(start + 1, start + size + 1, dtype=np.uint64)

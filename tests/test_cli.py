@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -400,6 +401,21 @@ def test_sweep_bad_arguments_are_config_errors(extra, capsys):
     argv = ["sweep", "--family", "two_point", "--e-start", "5", "--e-stop", "6"]
     assert main(argv + extra) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_refuses_too_many_points_before_any_work(capsys, monkeypatch):
+    # 1e15 values of E: refused at once instead of running for hours.
+    argv = ["sweep", "--family", "two_point", "--e-start", "5", "--e-stop", "6",
+            "--schedules", "fixed"]
+    start = time.perf_counter()
+    assert main(argv + ["--e-step", "1e-15"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "more than 10000 values of E" in capsys.readouterr().err
+    # floor((stop - start) / step) + 1 values: 3 pass at a cap of 3, 4 do not.
+    monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3)
+    assert main(argv[:6] + ["7", "--schedules", "fixed"]) == 0
+    assert main(argv[:6] + ["8", "--schedules", "fixed"]) == 2
+    assert "more than 3 values of E" in capsys.readouterr().err
 
 
 def test_sweep_range_guard_maps_to_config_error(capsys):

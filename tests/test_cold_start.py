@@ -1,4 +1,5 @@
-"""Cold start: no subcommand loads scipy, not even the adversarial-density integrals."""
+"""Cold start: no subcommand loads scipy, not even the adversarial-density
+integrals, and the oracle on atom models loads no numpy."""
 
 import os
 import subprocess
@@ -46,6 +47,56 @@ def test_import_and_demo_do_not_load_scipy(tmp_path):
     assert proc.stdout.count("PASS") == 2
     assert "adversarial_density" in (tmp_path / "a.csv").read_text()
     assert "adversarial_density" in (tmp_path / "s.csv").read_text()
+
+
+_RUN_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+from pathlib import Path
+import vegas_restart
+from vegas_restart import cli
+tmp = Path(sys.argv[1])
+atoms = [
+    {"kind": "two_point", "E": 8},
+    {"kind": "fixed_t_counterexample", "E": 5, "t": 10},
+    {"kind": "variance_counterexample", "E": 5, "V": 10},
+    {"kind": "constant", "c": 5},
+    {"kind": "discrete", "atoms": [[0.0, 0.25], [3.5, 0.5], [9.0, 0.25]]},
+]
+cfg = tmp / "atoms.json"
+cfg.write_text(json.dumps([
+    {"distribution": d, "law": law, "schedule": {"kind": kind}, "mode": "analyze"}
+    for d in atoms
+    for law in ("deterministic", "geometric")
+    for kind in ("fixed", "two_threshold", "specific_E", "universal")
+]))
+assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp / "a.csv")]) == 0
+for i, args in enumerate([
+    ["--family", "two_point", "--e-start", "5", "--e-stop", "30",
+     "--schedules", "fixed,two_threshold,universal"],
+    ["--family", "fixed_t_counterexample", "--t", "2E", "--e-start", "5", "--e-stop", "20",
+     "--schedules", "single_threshold:2E,universal"],
+]):
+    assert cli.main(["sweep", *args, "--out", str(tmp / f"sweep{i}.csv")]) == 0
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    cli.main(["--help"])
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+"""
+
+
+def test_oracle_on_atom_models_does_not_load_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_NUMPY, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "a.csv").read_text().splitlines()
+    assert len(rows) == 1 + 5 * 2 * 4
+    assert all("FAIL" not in row for row in rows)
+    assert len((tmp_path / "sweep0.csv").read_text().splitlines()) == 1 + 26 * 3
+    assert len((tmp_path / "sweep1.csv").read_text().splitlines()) == 1 + 16 * 2
 
 
 # The three values were scipy.integrate.quad's (epsrel 1e-11) before the

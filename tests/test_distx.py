@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
@@ -186,6 +188,45 @@ def test_cdf_atom_prefixes_are_exact_sums():
     for x, _ in d.atoms:
         assert cdf(d, x) == math.fsum(p for y, p in d.atoms if y <= x)
         assert cdf_strict(d, x) == math.fsum(p for y, p in d.atoms if y < x)
+
+
+@st.composite
+def _atom_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=50))
+    xs = draw(st.lists(st.floats(min_value=0.0, max_value=300.0), min_size=n, max_size=n,
+                       unique=True))
+    # Weights over six decades, so that the prefixes need fsum's rounding.
+    weights = draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=n, max_size=n))
+    total = math.fsum(weights)
+    return discrete([(x, w / total) for x, w in zip(xs, weights)])
+
+
+@given(_atom_sets(), st.lists(st.floats(min_value=-1.0, max_value=301.0), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_cdf_is_the_fsum_prefix_for_scalars_and_arrays(d, extra):
+    probs = [p for _, p in d.atoms]
+    assert d.atom_prefixes[1] == tuple(math.fsum(probs[:i]) for i in range(len(probs) + 1))
+    ts = [x for x, _ in d.atoms] + extra
+    for fn, below in ((cdf_strict, lambda y, t: y < t), (cdf, lambda y, t: y <= t)):
+        expected = [math.fsum(p for y, p in d.atoms if below(y, t)) for t in ts]
+        scalars = [fn(d, t) for t in ts]
+        assert all(type(v) is float for v in scalars)
+        assert scalars == expected
+        array = fn(d, np.array(ts))
+        assert isinstance(array, np.ndarray) and array.shape == (len(ts),)
+        assert array.tolist() == expected
+        assert fn(d, math.nan) == fn(d, np.array([math.nan]))[0] == d.atom_prefixes[1][-1]
+
+
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_discrete_accepts_many_equal_weight_atoms(n):
+    # A running += sum misses 1 by 1.9e-12 at 1e5 atoms and by 7.9e-12 at 1e6,
+    # past the 1e-12 tolerance; fsum does not.
+    d = discrete([(i * 1e-4, 1.0 / n) for i in range(n)])
+    assert len(d.atoms) == n
+    if n == 100_000:
+        assert cdf(d, d.atoms[-1][0]) == math.fsum(p for _, p in d.atoms)
+        assert cdf_strict(d, 5.0) == math.fsum([1.0 / n] * 50_000)
 
 
 def test_expectation_examples():
