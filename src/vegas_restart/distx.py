@@ -265,13 +265,11 @@ def support_max(dist: DistX) -> float:
 
 
 def _cdf(dist: DistX, t, side: str):
-    if dist.family != "adversarial_density":
+    if dist.family != "adversarial_density" and isinstance(t, (float, int)):
         xs, prefixes = dist.atom_prefixes
-        if isinstance(t, (float, int)):
-            search = bisect.bisect_left if side == "left" else bisect.bisect_right
-            # NaN sorts past every atom, where np.searchsorted puts it.
-            return prefixes[search(xs, float(t)) if t == t else -1]
-    import numpy as np  # np.expm1 sets the density's bits, for scalars too
+        search = bisect.bisect_left if side == "left" else bisect.bisect_right
+        return prefixes[search(xs, float(t))]
+    import numpy as np  # for arrays, and for the density: np.expm1 sets its bits
 
     ts = np.asarray(t, dtype=float)
     if dist.family == "adversarial_density":
@@ -281,7 +279,7 @@ def _cdf(dist: DistX, t, side: str):
         out = np.clip(a * np.expm1(np.minimum(ts, t_max)), 0.0, 1.0)
         out = np.where(ts <= 0.0, 0.0, np.where(ts >= t_max, 1.0, out))
     else:
-        out = np.array(prefixes)[np.searchsorted(xs, ts, side=side)]
+        out = np.array([_cdf(dist, float(x), side) for x in ts.ravel()]).reshape(ts.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -254,6 +254,19 @@ def test_threshold_witness_adversarial_marginal():
     assert ratio > math.exp(11.0)
 
 
+def test_lemma3_margin_on_atoms_takes_math_log():
+    # The witness is just above the first atom, where Pr(X < t) = p, so the
+    # margin is (E[X] + 1) - (t - ln p) with ln p from math.log.  numpy's log
+    # differs from it in the last bit here on an AVX-512 host (numpy 2.4), and
+    # the margin with np.log(p) reads 1.6178723739631, not 1.6178723739631002.
+    p = 0.6509193788395786
+    dist = distx.discrete([(1.0, p), (4.0, 1.0 - p)])
+    verdict = find_threshold_witness(dist)
+    ex = expectation(dist)
+    assert verdict.witness == 1.0 + 1e-9 * (1.0 + ex)
+    assert verdict.margin == (ex + 1.0) - (verdict.witness - math.log(p))
+
+
 def test_threshold_witness_holds_zoo_wide():
     for dist in zoo_distributions():
         assert find_threshold_witness(dist).holds, dist.label

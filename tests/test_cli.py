@@ -410,7 +410,7 @@ def test_sweep_refuses_too_many_points_before_any_work(capsys, monkeypatch):
     start = time.perf_counter()
     assert main(argv + ["--e-step", "1e-15"]) == 2
     assert time.perf_counter() - start < 1.0
-    assert "more than 10000 values of E" in capsys.readouterr().err
+    assert "more than 100000 values of E" in capsys.readouterr().err
     # floor((stop - start) / step) + 1 values: 3 pass at a cap of 3, 4 do not.
     monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3)
     assert main(argv[:6] + ["7", "--schedules", "fixed"]) == 0

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
@@ -179,17 +179,6 @@ def test_cdf_over_an_array_matches_scalar_calls():
             assert all(type(fn(d, t)) is float for t in ts[:3])
 
 
-def test_cdf_atom_prefixes_are_exact_sums():
-    d = discrete([(float(i), 0.1) for i in range(10)])
-    # A running float sum reads 0.7999999999999999 and 0.9999999999999999 here.
-    assert cdf(d, 7.0) == 0.8
-    assert cdf_strict(d, 9.0) == 0.9
-    assert cdf(d, 9.0) == 1.0
-    for x, _ in d.atoms:
-        assert cdf(d, x) == math.fsum(p for y, p in d.atoms if y <= x)
-        assert cdf_strict(d, x) == math.fsum(p for y, p in d.atoms if y < x)
-
-
 @st.composite
 def _atom_sets(draw):
     n = draw(st.integers(min_value=1, max_value=50))
@@ -201,21 +190,23 @@ def _atom_sets(draw):
     return discrete([(x, w / total) for x, w in zip(xs, weights)])
 
 
+# Ten atoms of 0.1: a running float sum reads 0.7999999999999999 at 7 and
+# 0.9999999999999999 at 9, where fsum reads 0.8 and 1.0.
 @given(_atom_sets(), st.lists(st.floats(min_value=-1.0, max_value=301.0), max_size=20))
+@example(discrete([(float(i), 0.1) for i in range(10)]), [7.5, -1.0, 10.0])
 @settings(max_examples=200, deadline=None)
-def test_cdf_is_the_fsum_prefix_for_scalars_and_arrays(d, extra):
+def test_cdf_atom_prefixes_are_exact_sums(d, extra):
     probs = [p for _, p in d.atoms]
     assert d.atom_prefixes[1] == tuple(math.fsum(probs[:i]) for i in range(len(probs) + 1))
     ts = [x for x, _ in d.atoms] + extra
     for fn, below in ((cdf_strict, lambda y, t: y < t), (cdf, lambda y, t: y <= t)):
         expected = [math.fsum(p for y, p in d.atoms if below(y, t)) for t in ts]
-        scalars = [fn(d, t) for t in ts]
-        assert all(type(v) is float for v in scalars)
-        assert scalars == expected
+        assert [fn(d, t) for t in ts] == expected
         array = fn(d, np.array(ts))
         assert isinstance(array, np.ndarray) and array.shape == (len(ts),)
         assert array.tolist() == expected
-        assert fn(d, math.nan) == fn(d, np.array([math.nan]))[0] == d.atom_prefixes[1][-1]
+        # A NaN reads the same alone and in an array.
+        assert fn(d, math.nan) == fn(d, np.array([math.nan]))[0]
 
 
 @pytest.mark.parametrize("n", [100_000, 1_000_000])
