@@ -2,12 +2,11 @@
 behind the verification suite.
 
 The oracle uses renewal summation over independent attempts: with
-(q_i, m_i) = runtime_stats at budget i, expected total cost is
-sum_i (prod_{j<i} q_j) * m_i.  Cyclic schedules admit an exact closed-form
-remainder; universal and Luby are summed a piece at a time, until a tail
-certificate closes the series or the survival hits exact zero.
-Expected-cost claims are reported as [expected_cost, expected_cost +
-tail_bound] enclosures.
+(q_i, m_i, _) = runtime_stats at budget i, expected total cost is
+sum_i (prod_{j<i} q_j) * m_i.  Cyclic schedules are summed in closed form;
+universal and Luby are summed a piece at a time, until a tail certificate
+closes the series or the survival hits exact zero.  Expected-cost claims are
+reported as [expected_cost, expected_cost + tail_bound] enclosures.
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ _BLOCK_COST_FACTOR = 4.0 * math.exp(10.0) + 17.0
 
 
 class TailNotConvergent(RuntimeError):
-    """The oracle could not certify a tail bound within the attempt cap."""
+    """The oracle could not certify an expected cost: no tail certificate
+    within the attempt cap, or a closed form it cannot trust."""
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,16 @@ def _group_partial(q: float, count: int, m: float) -> float:
     return m * (-math.expm1(count * math.log(q))) / (1.0 - q)
 
 
-def _group_terms(model: RuntimeModel, stats, count: int, budget: float) -> tuple[float, float]:
-    """Summand and survival factor, _group_partial(q, count, m) and q**count, of
-    count attempts at budget, with q = 1 where no run can complete within the
-    budget (the support argument)."""
-    q, m = stats(budget)
+def _group_terms(
+    model: RuntimeModel, stats, count: int, budget: float
+) -> tuple[float, float, float]:
+    """Summand, survival factor and success probability of count attempts at
+    budget: _group_partial(q, count, m), q**count and p, with q, p = 1, 0 where
+    no run can complete within the budget (the support argument)."""
+    q, m, p = stats(budget)
     if distx.success_impossible(model, budget):
-        q = 1.0
-    return _group_partial(q, count, m), q**count
+        q, p = 1.0, 0.0
+    return _group_partial(q, count, m), q**count, p
 
 
 def analytic_cost(
@@ -98,9 +100,11 @@ def analytic_cost(
 ) -> CostEstimate:
     """Exact expected total cost of running the schedule on the model.
 
-    Returns +infinity only on a support argument (no budget the schedule ever
-    issues can complete a run); raises TailNotConvergent when the series
-    cannot be certified within attempt_cap attempts.
+    A cyclic schedule gets its closed form, a point; eps_tail and attempt_cap
+    act only on the "universal" and "luby" scans.  Returns +infinity only on
+    a support argument (no budget the schedule ever issues can complete a
+    run); raises TailNotConvergent when a scan cannot certify its series
+    within attempt_cap attempts, or a closed form cannot be trusted.
     """
     if not eps_tail > 0.0:
         raise ValueError(f"eps_tail must be positive, got {eps_tail!r}")
@@ -109,11 +113,20 @@ def analytic_cost(
     if not (attempt_cap >= 0 and attempt_cap % 1 == 0):
         raise ValueError(f"attempt_cap must be a non-negative whole number, got {attempt_cap!r}")
     if schedule.cycle is not None:
-        return _cyclic_cost(model, schedule, eps_tail, int(attempt_cap))
+        return _cyclic_cost(model, schedule)
     return _scan_cost(model, schedule, eps_tail, int(attempt_cap))
 
 
-def _cyclic_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
+# The density's p under the geometric law is 1 - q, with q from quad good to
+# about QUAD_RTOL in absolute terms; a cycle success probability below this
+# would keep fewer than three correct digits.
+_MIN_QUAD_CYCLE_SUCCESS = 1000.0 * distx.QUAD_RTOL
+
+
+def _cyclic_cost(model, schedule) -> CostEstimate:
+    """cycle_cost / (1 - Q), Q the survival of one cycle: the renewal series
+    summed in closed form, with 1 - Q = -expm1(sum count * log1p(-p)) at full
+    relative precision however small p is."""
     cycle_attempts = sum(count for count, _ in schedule.cycle)
     if all(distx.success_impossible(model, budget) for _, budget in schedule.cycle):
         return CostEstimate(math.inf, 0.0, cycle_attempts)
@@ -121,28 +134,24 @@ def _cyclic_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     stats = functools.partial(runtime_stats, model)
     cycle_cost = 0.0  # expected cost accrued over one cycle started fresh
     survival = 1.0
+    log_survival = 0.0  # ln Q
     for count, budget in schedule.cycle:
-        partial, factor = _group_terms(model, stats, count, budget)
+        partial, factor, p = _group_terms(model, stats, count, budget)
         cycle_cost += survival * partial
         survival *= factor
-    cycle_survival = survival
-    if cycle_survival >= 1.0:
-        raise TailNotConvergent(
-            "cycle survival is numerically 1 although success has positive probability"
-        )
-
-    if cycle_survival <= 0.0:
-        n_cycles = 1
-    else:
-        n_cycles = max(1, math.ceil(math.log(eps_tail) / math.log(cycle_survival)))
-        n_cycles = min(n_cycles, max(1, attempt_cap // cycle_attempts))
-    remaining = cycle_survival**n_cycles
-    # total over k cycles is cycle_cost * (1 - Q**k) / (1 - Q); the remainder
-    # after k cycles is exactly Q**k times the full total.
-    full_total = cycle_cost / (1.0 - cycle_survival)
-    partial = full_total * -math.expm1(n_cycles * math.log(cycle_survival)) if remaining else full_total
-    tail = full_total * remaining
-    return CostEstimate(partial, tail, n_cycles * cycle_attempts)
+        # p can pass 1 by the rounding of atom weights that sum to 1 +- 1e-12
+        log_survival += count * math.log1p(-p) if p < 1.0 else -math.inf
+    cycle_success = -math.expm1(log_survival)
+    quad_p = model.law == "geometric" and model.dist.family == "adversarial_density"
+    if quad_p and cycle_success < _MIN_QUAD_CYCLE_SUCCESS:
+        raise TailNotConvergent(f"cycle success probability {cycle_success!r} is below "
+                                f"{_MIN_QUAD_CYCLE_SUCCESS!r}: too few digits of 1 - q "
+                                f"from numerical integration")
+    cost = cycle_cost / cycle_success
+    if cost == math.inf:
+        raise TailNotConvergent(f"closed form cycle cost {cycle_cost!r} / cycle success "
+                                f"probability {cycle_success!r} overflows double range")
+    return CostEstimate(cost, 0.0, cycle_attempts)
 
 
 # A piece of an unbounded schedule is (head, slot, group, tail).  group is the
@@ -156,7 +165,7 @@ def _cyclic_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
 
 def _universal_tail(e, stats, attempts, survival):
     """Certificate before budget_block(e)."""
-    q_close, _ = stats(2.0 * math.exp(e + 10.0))
+    q_close, _, _ = stats(2.0 * math.exp(e + 10.0))
     if q_close > 0.5:
         return None
     # Every later block for bound e' >= e has survival factor at most
@@ -187,7 +196,7 @@ def _luby_tail(unit, stats, attempts, survival):
     # shrinks by q_peak per peak: sum_k (k+1)^2 x^k = (1+x)/(1-x)^3 closes the
     # bound.
     mult = float(1 << ((attempts + 1).bit_length() - 2))
-    q_peak, _ = stats(unit * mult)
+    q_peak, _, _ = stats(unit * mult)
     if q_peak > 0.5:
         return None
     span = attempts + 4.0 * mult
@@ -273,7 +282,7 @@ def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
             raise TailNotConvergent(
                 f"no tail certificate after {attempts + i_cap} attempts of schedule {schedule.label}"
             )
-        partial, factor = _group_terms(model, stats, *group)
+        partial, factor, _ = _group_terms(model, stats, *group)
         partials[slot], factors[slot] = partial, factor
         total = float(t[-1]) + float(s[-1]) * partial
         survival = float(s[-1]) * factor
@@ -296,7 +305,7 @@ def renewal_partial_cost(model: RuntimeModel, budgets) -> float:
     survival = 1.0
     total = 0.0
     for budget in budgets:
-        q, m = runtime_stats(model, float(budget))
+        q, m, _ = runtime_stats(model, float(budget))
         total += survival * m
         survival *= q
     return total
@@ -417,7 +426,7 @@ def block_success_prob(model: RuntimeModel, e: float) -> float:
     e = _require_upper_bound(model.dist, e)
     log_fail = 0.0
     for count, budget in budget_block(e):
-        q, _ = runtime_stats(model, budget)
+        q, _, _ = runtime_stats(model, budget)
         if q <= 0.0:
             return 1.0
         log_fail += count * math.log(q)

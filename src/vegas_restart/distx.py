@@ -327,28 +327,6 @@ def sample_x(dist: DistX, rng) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Runtime models.
-
-
-def _geom_fail_prob(p: float, n: float) -> float:
-    """Pr(T > n) for T geometric with success probability p, n whole steps."""
-    if n < 1.0:
-        return 1.0
-    if p >= 1.0:
-        return 0.0
-    return math.exp(n * math.log1p(-p))
-
-
-def _geom_mean_trunc(p: float, n: float) -> float:
-    """E[min(T, n)] = (1 - (1-p)^n) / p, computed stably for tiny p."""
-    if n < 1.0:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
-    return -math.expm1(n * math.log1p(-p)) / p
-
-
-# ---------------------------------------------------------------------------
 # Gauss-Kronrod quadrature.
 
 # QUADPACK's qk15 pair (Piessens et al., QUADPACK, 1983): (node, Kronrod
@@ -449,13 +427,13 @@ def _adv_geometric_partition(t_max: float, n: float) -> list[float]:
     return [0.0, *sorted({p for p in pts if 0.0 < p < t_max}), t_max]
 
 
-def _adv_geometric_stats(dist: DistX, n: float) -> tuple[float, float]:
-    """(q, m) of the adversarial density when an attempt gets n >= 1 steps.
+def _adv_geometric_stats(dist: DistX, n: float) -> tuple[float, float, float]:
+    """(q, m, p) of the adversarial density when an attempt gets n >= 1 steps.
 
     Given X = x the run is geometric with success probability e^-x, so it
     fails with probability (1 - e^-x)^n and is charged
     (1 - (1 - e^-x)^n) e^x steps on average; q and m integrate both against
-    the density e^(x - (E+1)) over the same nodes.
+    the density e^(x - (E+1)) over the same nodes, and p is 1 - q.
     """
     import numpy as np  # np.log1p, np.exp and np.expm1 set these bits
 
@@ -470,15 +448,21 @@ def _adv_geometric_stats(dist: DistX, n: float) -> tuple[float, float]:
         return np.stack([np.exp(log_fail) * density, -np.expm1(log_fail) * np.exp(x) * density])
 
     (q, m), _ = quad(integrands, _adv_geometric_partition(t_max, n))
-    return min(1.0, float(q)), float(m)
+    q = min(1.0, float(q))
+    return q, float(m), 1.0 - q
 
 
-def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float]:
-    """Per-attempt failure probability and expected charged cost at budget b.
+# ---------------------------------------------------------------------------
+# Runtime models.
 
-    Returns (q, m) with q = Pr(attempt fails) and m = E[cost charged to the
-    attempt], i.e. E[min(T, b)] under the deterministic law and
-    E[min(T, floor(b))] under the geometric law (integer steps).
+
+def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float, float]:
+    """(q, m, p) of one attempt at budget b: q = Pr(attempt fails), m = E[cost
+    charged to the attempt], i.e. E[min(T, b)] under the deterministic law
+    and E[min(T, floor(b))] under the geometric law (integer steps), and
+    p = Pr(attempt succeeds) at full relative precision, not as 1 - q, which
+    loses a p below about 1e-16.  Only the density under the geometric law
+    takes p = 1 - q, good to about QUAD_RTOL.
     """
     b = float(b)
     if b <= 0.0:
@@ -490,38 +474,43 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float]:
             a, t_max = _adv_consts(dist)
             xb = math.log(b)
             if xb >= t_max:
-                return 0.0, expectation_exp(dist)
+                return 0.0, expectation_exp(dist), 1.0
             if xb <= 0.0:
-                return 1.0, b
+                return 1.0, b, 0.0
             # exp(xb - (E+1)) - a and exp(2 xb - (E+1)) - a as a*expm1(.),
             # which do not cancel for small xb (as in _cdf).
-            q = 1.0 - a * math.expm1(xb)
+            p = a * math.expm1(xb)
+            q = 1.0 - p
             m = a * math.expm1(2.0 * xb) / 2.0 + b * q
-            return q, m
-        q = 0.0
-        m = 0.0
-        for x, p in dist.atoms:
+            return q, m, p
+        q = m = 0.0
+        k = 0  # the atoms that finish within b: a prefix, as the atoms are sorted
+        for x, w in dist.atoms:
             t_run = math.exp(x)
             if t_run <= b:
-                m += p * t_run
+                k += 1
+                m += w * t_run
             else:
-                q += p
-                m += p * b
-        return q, m
+                q += w
+                m += w * b
+        return q, m, dist.atom_prefixes[1][k]
 
     # geometric law: the attempt gets floor(b) whole steps
     n = math.floor(b)
     if n < 1.0:
-        return 1.0, 0.0
+        return 1.0, 0.0, 0.0
     if dist.family == "adversarial_density":
         return _adv_geometric_stats(dist, n)
-    q = 0.0
-    m = 0.0
-    for x, p in dist.atoms:
+    q = m = p = 0.0
+    for x, w in dist.atoms:
         pg = math.exp(-x)
-        q += p * _geom_fail_prob(pg, n)
-        m += p * _geom_mean_trunc(pg, n)
-    return q, m
+        # Pr(all n steps fail) = (1 - pg)^n, with one log1p per atom.
+        log_fail = n * math.log1p(-pg) if pg < 1.0 else -math.inf
+        succ = -math.expm1(log_fail)
+        q += w * math.exp(log_fail)
+        m += w * (succ / pg)
+        p += w * succ
+    return q, m, p
 
 
 def success_impossible(model: RuntimeModel, b: float) -> bool:

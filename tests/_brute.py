@@ -86,13 +86,13 @@ def _reference_rounds(schedule):
 
 def _eval_group(model, count, budget):
     hopeless = distx.success_impossible(model, budget)
-    q, m = runtime_stats(model, budget)
+    q, m, _ = runtime_stats(model, budget)
     return count, budget, 1.0 if hopeless else q, m, hopeless
 
 
 def _universal_tail(model, schedule, rounds_done, survival):
     e = 5 + rounds_done  # bound of the next block
-    q_close, _ = runtime_stats(model, 2.0 * math.exp(e + 10.0))
+    q_close, _, _ = runtime_stats(model, 2.0 * math.exp(e + 10.0))
     if q_close <= 0.5:
         ratio = math.e * q_close * q_close
         return survival * _BLOCK_COST_FACTOR * math.exp(e) / (1.0 - ratio)
@@ -104,7 +104,7 @@ def _luby_tail(model, schedule, rounds_done, survival):
         return None
     unit = dict(schedule.params)["unit"]
     mult = float(1 << ((rounds_done + 1).bit_length() - 2))
-    q_peak, _ = runtime_stats(model, unit * mult)
+    q_peak, _, _ = runtime_stats(model, unit * mult)
     if q_peak <= 0.5:
         span = rounds_done + 4.0 * mult
         return survival * unit * span * span * (1.0 + q_peak) / (1.0 - q_peak) ** 3

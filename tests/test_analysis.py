@@ -1,6 +1,8 @@
 import itertools
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,8 @@ from vegas_restart.schedules import (
     fixed_schedule,
     luby_schedule,
     single_threshold_schedule,
+    specific_e_schedule,
+    two_threshold_schedule,
     universal_schedule,
 )
 
@@ -66,14 +70,17 @@ def test_oracle_detects_divergence_by_support():
 
 def test_oracle_enclosure_contains_truth():
     # Chop the series at coarse eps values; the enclosure must always contain
-    # the tight value.
+    # the tight value.  eps_tail chops only the scans: the cyclic kind's
+    # closed form is the same point at every eps.
     model = RuntimeModel(two_point(4.0), "geometric")
-    sched = single_threshold_schedule(1.0)
-    tight = analytic_cost(model, sched, eps_tail=1e-14)
-    truth = tight.expected_cost + 0.5 * tight.tail_bound
-    for eps in (1e-2, 1e-4, 1e-8):
-        est = analytic_cost(model, sched, eps_tail=eps)
-        assert est.expected_cost <= truth <= est.expected_cost + est.tail_bound + 1e-12
+    for sched in (single_threshold_schedule(1.0), universal_schedule(), luby_schedule(1.0)):
+        tight = analytic_cost(model, sched, eps_tail=1e-14)
+        truth = tight.expected_cost + 0.5 * tight.tail_bound
+        for eps in (1e-2, 1e-4, 1e-8):
+            est = analytic_cost(model, sched, eps_tail=eps)
+            assert est.expected_cost <= truth <= est.expected_cost + est.tail_bound + 1e-12
+            if sched.cycle is not None:
+                assert est == tight
 
 
 def test_oracle_universal_matches_block_prefix_renewal():
@@ -139,9 +146,8 @@ def test_oracle_rejects_bad_eps():
 
 
 def test_oracle_rejects_nan_eps_tail_on_a_cycle():
-    # Unchecked, a NaN eps_tail fails later, in counting the cycles, with
-    # "cannot convert float NaN to integer", and an infinite one with
-    # "cannot convert float infinity to integer".
+    # The closed form of a cycle does not read eps_tail, but analytic_cost
+    # checks it for every schedule kind, so a bad value never passes silently.
     model = RuntimeModel(two_point(4.0), "deterministic")
     with pytest.raises(ValueError, match="eps_tail must be positive, got nan"):
         analytic_cost(model, fixed_schedule(4.0), eps_tail=math.nan)
@@ -172,10 +178,75 @@ def test_oracle_rejects_an_attempt_cap_that_is_not_whole():
 
 
 def test_oracle_float_attempt_cap_counts_whole_attempts():
-    # The cap is converted to int once, so no float leaks into the count.
-    model = RuntimeModel(distx.discrete([[0.0, 1e-10], [50.0, 1.0 - 1e-10]]), "deterministic")
-    est = analytic_cost(model, single_threshold_schedule(0.0), attempt_cap=1e5)
-    assert repr(est.attempts_summed) == "100000"
+    # The cap is converted to int once, so no float leaks into the count: the
+    # refusal names 100001 attempts, not 100001.0.
+    model = RuntimeModel(two_point(16.0), "deterministic")
+    with pytest.raises(TailNotConvergent) as info:
+        analytic_cost(model, luby_schedule(1.0), attempt_cap=1e5)
+    assert str(info.value) == "no tail certificate after 100001 attempts of schedule luby(unit=1)"
+    est = analytic_cost(RuntimeModel(two_point(4.0), "geometric"), luby_schedule(1.0),
+                        attempt_cap=1e5)
+    assert repr(est.attempts_summed) == "255"
+
+
+# {0: p, 50: 1 - p} under single_threshold(0), budget 2: every attempt fails
+# with probability about 1 - p, so the cost is about 2/p.  q = 1 - p rounds
+# to 1 for p below about 1e-16; the closed form takes p itself.
+_NEAR_CERTAIN_PS = (1e-300, 1e-200, 1e-30, 1e-18, 1e-17, 1e-16, 1e-12, 1e-10, 1e-6, 1e-3,
+                    0.1, 0.5)
+
+
+def _near_certain_exact(atoms, law, budget):
+    """E[min(T, b)] / Pr(T <= b) over the atoms as given: exact rationals under
+    the deterministic law, 50-digit mpmath under the geometric one."""
+    if law == "deterministic":
+        runs = [(Fraction(w), Fraction(math.exp(x))) for x, w in atoms]
+        charged = sum(w * min(t_run, Fraction(budget)) for w, t_run in runs)
+        return charged / sum(w for w, t_run in runs if t_run <= budget)
+    with mpmath.workdps(50):
+        n = math.floor(budget)
+        charged = succ_total = mpmath.mpf(0)
+        for x, w in atoms:
+            pg = mpmath.exp(-mpmath.mpf(x))
+            succ = -mpmath.expm1(n * mpmath.log1p(-pg)) if x > 0.0 else mpmath.mpf(1)
+            charged += w * succ / pg
+            succ_total += w * succ
+        return charged / succ_total
+
+
+@pytest.mark.parametrize("law", distx.LAWS)
+@pytest.mark.parametrize("p", _NEAR_CERTAIN_PS)
+def test_cyclic_closed_form_keeps_a_tiny_success_probability(p, law):
+    atoms = [(0.0, p), (50.0, 1.0 - p)]
+    schedule = single_threshold_schedule(0.0)
+    est = analytic_cost(RuntimeModel(distx.discrete(atoms), law), schedule)
+    exact = _near_certain_exact(atoms, law, schedule.cycle[0][1])
+    assert (est.tail_bound, est.attempts_summed) == (0.0, 1)
+    if law == "deterministic":
+        rel = abs(Fraction(est.expected_cost) / exact - 1)
+    else:
+        rel = abs(mpmath.mpf(est.expected_cost) / exact - 1)
+    assert rel <= 4 * 2.0**-53, (p, law, est.expected_cost, float(rel))
+
+
+def test_cyclic_closed_form_refuses_to_overflow():
+    # The cost is about 2e310, past double range: a refusal, not inf, which
+    # only the support argument returns.
+    model = RuntimeModel(distx.discrete([[0.0, 1e-310], [50.0, 1.0 - 1e-310]]), "deterministic")
+    with pytest.raises(TailNotConvergent, match="overflows double range"):
+        analytic_cost(model, single_threshold_schedule(0.0))
+
+
+def test_density_geometric_cycle_refuses_an_unresolved_success_probability():
+    # With 5 whole steps the density's success probability is about 9.6e-25,
+    # but 1 - q from the quadrature reads 2.2e-16, which would give a cost of
+    # about 2.3e16 against a true 5.19837778794628e24 (50-digit mpmath).
+    model = RuntimeModel(adversarial_density(60.0), "geometric")
+    with pytest.raises(TailNotConvergent, match="numerical integration"):
+        analytic_cost(model, single_threshold_schedule(1.0))
+    # A resolved success probability still gets its closed form.
+    est = analytic_cost(RuntimeModel(adversarial_density(5.0), "geometric"), fixed_schedule(5.0))
+    assert math.isfinite(est.expected_cost) and est.tail_bound == 0.0
 
 
 def test_universal_scan_refuses_where_the_blocks_end():
@@ -708,6 +779,52 @@ def test_unbounded_scan_matches_the_per_round_reference(model, schedule, cap, ep
     got = _scan_outcome(analytic_cost, model, schedule, attempt_cap=cap, eps_tail=eps_tail)
     assert got == _scan_outcome(reference_scan_cost, model, schedule, attempt_cap=cap,
                                 eps_tail=eps_tail)
+
+
+def _renewal_until_survival(model, schedule, survival_floor=1e-15):
+    """renewal_partial_cost over the schedule's budgets up to the first
+    attempt after which survival is at most survival_floor."""
+    budgets, survival = [], 1.0
+    for budget in schedule.budgets():
+        budgets.append(budget)
+        survival *= distx.runtime_stats(model, budget)[0]
+        if survival <= survival_floor:
+            return renewal_partial_cost(model, budgets)
+    raise AssertionError("unreachable: cyclic schedules are infinite")
+
+
+@given(_small_models(), st.floats(min_value=0.0, max_value=9.0))
+@settings(max_examples=60, deadline=None)
+def test_cyclic_closed_form_matches_the_renewal_sum(model, t):
+    ex = expectation(model.dist)
+    schedules = [single_threshold_schedule(t), fixed_schedule(ex), specific_e_schedule(max(ex, 5.0))]
+    if ex >= 1.0:
+        schedules.append(two_threshold_schedule(ex))
+    for schedule in schedules:
+        est = analytic_cost(model, schedule)
+        if all(distx.success_impossible(model, b) for _, b in schedule.cycle):
+            assert est.expected_cost == math.inf
+            continue
+        assert (est.tail_bound, est.attempts_summed) == (
+            0.0, sum(count for count, _ in schedule.cycle))
+        assert est.expected_cost == pytest.approx(_renewal_until_survival(model, schedule),
+                                                  rel=1e-12), schedule.label
+
+
+@given(
+    _small_models(),
+    st.one_of(st.just(universal_schedule()),
+              st.floats(min_value=0.25, max_value=8.0).map(luby_schedule)),
+)
+@settings(max_examples=40, deadline=None)
+def test_scan_enclosures_nest_as_eps_tail_shrinks(model, schedule):
+    outer = None
+    for eps_tail in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+        est = analytic_cost(model, schedule, eps_tail=eps_tail)
+        if outer is not None:
+            assert outer.expected_cost <= est.expected_cost, (eps_tail, outer, est)
+            assert est.upper <= outer.upper, (eps_tail, outer, est)
+        outer = est
 
 
 def test_long_luby_scans_keep_their_results():

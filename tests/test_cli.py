@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -203,9 +204,12 @@ def test_analyze_and_verify_reruns_byte_identical(tmp_path):
 
 
 def test_analyze_uncertifiable_tail_exit_code(tmp_path, capsys):
-    # An atom with probability 1e-18 leaves the per-cycle survival product
-    # numerically at 1 although success has positive probability; the oracle
-    # refuses to guess and the command maps that to exit 3.
+    # An atom with probability p = 1e-18 leaves the failure probability
+    # 1 - p at exactly 1.  The oracle once refused this input ("cycle
+    # survival is numerically 1") and the command exited with 3:
+    #     assert main(["analyze", "--config", cfg]) == 3
+    # The closed form takes p itself.  At budget 2 the atom at 0 finishes and
+    # the one at 1 is charged 2, so the cost is (p + 2(1 - p)) / p.
     cfg = write_config(
         tmp_path,
         {
@@ -214,8 +218,12 @@ def test_analyze_uncertifiable_tail_exit_code(tmp_path, capsys):
             "schedule": {"kind": "single_threshold", "t": 0},
         },
     )
-    assert main(["analyze", "--config", cfg]) == 3
-    capsys.readouterr()
+    assert main(["analyze", "--config", cfg]) == 0
+    row = next(csv.DictReader(capsys.readouterr().out.splitlines()))
+    p = Fraction(1e-18)
+    exact = (p + 2 * Fraction(1.0 - 1e-18)) / p
+    assert abs(Fraction(row["analytic_cost"]) / exact - 1) <= 4 * 2.0**-53
+    assert row["tail_bound"] == "0.0"
 
 
 def test_simulate_reruns_byte_identical(tmp_path):
@@ -436,6 +444,25 @@ def test_sweep_range_guard_maps_to_config_error(capsys):
         == 2
     )
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "dist, law, t, reason",
+    [
+        ({"kind": "discrete", "atoms": [[0.0, 1e-310], [50.0, 1.0 - 1e-310]]}, "deterministic",
+         0, "overflows double range"),
+        ({"kind": "adversarial_density", "E": 60}, "geometric", 1, "numerical integration"),
+    ],
+)
+def test_analyze_untrusted_closed_form_exits_three(tmp_path, capsys, dist, law, t, reason):
+    # A cyclic closed form past double range, and one whose success
+    # probability the quadrature cannot resolve, are refused by name.
+    cfg = write_config(
+        tmp_path,
+        {"distribution": dist, "law": law, "schedule": {"kind": "single_threshold", "t": t}},
+    )
+    assert main(["analyze", "--config", cfg]) == 3
+    assert reason in capsys.readouterr().err
 
 
 def test_analyze_uncoverable_universal_exits_three(tmp_path, capsys):

@@ -118,6 +118,8 @@ _SCIPY_VALUES = {
     ],
 )
 def test_adversarial_geometric_stats_are_bit_identical(E, b, expected):
-    stats = runtime_stats(RuntimeModel(adversarial_density(E), "geometric"), b)
+    q, m, p = runtime_stats(RuntimeModel(adversarial_density(E), "geometric"), b)
+    stats = (q, m)
     assert repr(stats) == repr(expected)
+    assert p == 1.0 - q
     assert stats == pytest.approx(_SCIPY_VALUES[E, b], rel=1e-11, abs=0.0)

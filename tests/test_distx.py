@@ -151,7 +151,7 @@ def test_runtime_stats_adversarial_deterministic_against_mpmath():
             x = mpmath.log(mpmath.mpf(b))
             q_exact = 1 - a * mpmath.expm1(x)
             m_exact = a * mpmath.expm1(2 * x) / 2 + mpmath.mpf(b) * q_exact
-            q, m = runtime_stats(model, b)
+            q, m, _ = runtime_stats(model, b)
             assert abs(mpmath.mpf(m) / m_exact - 1) <= 1e-15, ln_b
             if ln_b < t_max - 1.0:
                 assert abs(mpmath.mpf(q) / q_exact - 1) <= 1e-15, ln_b
@@ -328,42 +328,42 @@ def test_sample_t_geometric_is_integer_valued():
 
 def test_runtime_stats_two_point_deterministic():
     model = RuntimeModel(two_point(4.0), "deterministic")
-    q, m = runtime_stats(model, 2.0)
+    q, m, _ = runtime_stats(model, 2.0)
     assert q == pytest.approx(0.8, abs=1e-15)
     assert m == pytest.approx(1.8, abs=1e-15)
 
 
 def test_runtime_stats_geometric_small_budget():
     model = RuntimeModel(constant(math.log(2.0)), "geometric")
-    q, m = runtime_stats(model, 3.0)
+    q, m, _ = runtime_stats(model, 3.0)
     assert q == pytest.approx(0.125, rel=1e-12)
     assert m == pytest.approx(1.75, rel=1e-12)
 
 
 def test_runtime_stats_budget_above_support():
     model = RuntimeModel(two_point(4.0), "deterministic")
-    q, m = runtime_stats(model, math.exp(5.0))  # equal to the largest run cost
+    q, m, _ = runtime_stats(model, math.exp(5.0))  # equal to the largest run cost
     assert q == 0.0
     assert m == pytest.approx(expectation_exp(model.dist), rel=1e-12)
 
 
 def test_runtime_stats_budget_boundary_counts_as_success():
     model = RuntimeModel(constant(2.0), "deterministic")
-    q, _ = runtime_stats(model, math.exp(2.0))
+    q, _, _ = runtime_stats(model, math.exp(2.0))
     assert q == 0.0
-    q, _ = runtime_stats(model, math.exp(2.0) - 1e-9)
+    q, _, _ = runtime_stats(model, math.exp(2.0) - 1e-9)
     assert q == 1.0
 
 
 def test_runtime_stats_zero_step_budget_geometric():
     model = RuntimeModel(constant(1.0), "geometric")
-    q, m = runtime_stats(model, 0.5)
+    q, m, _ = runtime_stats(model, 0.5)
     assert (q, m) == (1.0, 0.0)
 
 
 def test_expected_runtime_recovered_at_huge_budget():
     for model in zoo_models():
-        q, m = runtime_stats(model, 1e300)
+        q, m, _ = runtime_stats(model, 1e300)
         assert q == pytest.approx(0.0, abs=1e-15)
         assert m == pytest.approx(expectation_exp(model.dist), rel=1e-9)
 
@@ -372,7 +372,7 @@ def test_runtime_stats_adversarial_geometric_vs_riemann():
     e = 5.0
     model = RuntimeModel(adversarial_density(e), "geometric")
     b = 40.0
-    q, m = runtime_stats(model, b)
+    q, m, _ = runtime_stats(model, b)
     n = math.floor(b)
     xs = np.linspace(1e-9, distx.support_max(model.dist), 400_001)
     dens = np.exp(xs - (e + 1.0))

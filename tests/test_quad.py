@@ -126,7 +126,8 @@ def _extreme_budgets(E):
 def test_adversarial_geometric_stats_match_scipy(E):
     model = RuntimeModel(adversarial_density(E), "geometric")
     for b in _extreme_budgets(E):
-        got, ref = runtime_stats(model, b), _scipy_reference(E, b)
+        q, m, _ = runtime_stats(model, b)
+        got, ref = (q, m), _scipy_reference(E, b)
         for value, reference in zip(got, ref):
             # The reference promises max(1e-11 * |value|, 1e-280).
             assert math.isclose(value, reference, rel_tol=1e-11, abs_tol=1e-280), (E, b, got, ref)
