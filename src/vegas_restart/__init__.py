@@ -23,7 +23,6 @@ from .analysis import (
 )
 from .distx import (
     DistX,
-    IntegrationLimitError,
     RuntimeModel,
     adversarial_density,
     build_distribution,

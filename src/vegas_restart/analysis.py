@@ -11,8 +11,10 @@ reported as [expected_cost, expected_cost + tail_bound] enclosures.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import distx, starfn
@@ -117,12 +119,6 @@ def analytic_cost(
     return _scan_cost(model, schedule, eps_tail, int(attempt_cap))
 
 
-# The density's p under the geometric law is 1 - q, with q from quad good to
-# about QUAD_RTOL in absolute terms; a cycle success probability below this
-# would keep fewer than three correct digits.
-_MIN_QUAD_CYCLE_SUCCESS = 1000.0 * distx.QUAD_RTOL
-
-
 def _cyclic_cost(model, schedule) -> CostEstimate:
     """cycle_cost / (1 - Q), Q the survival of one cycle: the renewal series
     summed in closed form, with 1 - Q = -expm1(sum count * log1p(-p)) at full
@@ -142,11 +138,6 @@ def _cyclic_cost(model, schedule) -> CostEstimate:
         # p can pass 1 by the rounding of atom weights that sum to 1 +- 1e-12
         log_survival += count * math.log1p(-p) if p < 1.0 else -math.inf
     cycle_success = -math.expm1(log_survival)
-    quad_p = model.law == "geometric" and model.dist.family == "adversarial_density"
-    if quad_p and cycle_success < _MIN_QUAD_CYCLE_SUCCESS:
-        raise TailNotConvergent(f"cycle success probability {cycle_success!r} is below "
-                                f"{_MIN_QUAD_CYCLE_SUCCESS!r}: too few digits of 1 - q "
-                                f"from numerical integration")
     cost = cycle_cost / cycle_success
     if cost == math.inf:
         raise TailNotConvergent(f"closed form cycle cost {cycle_cost!r} / cycle success "
@@ -204,19 +195,16 @@ def _luby_tail(unit, stats, attempts, survival):
 
 
 # A Luby piece is a run S_k whose levels are all evaluated, or a single term
-# (schedules.luby_pieces); level k lives in slot k.  S_k is the first
-# 2**k - 1 entries of _luby_levels(), the levels of S_12, built by
-# S_{k+1} = S_k S_k 2**k.
+# (schedules.luby_pieces); level k lives in slot k.
 _LUBY_DEPTH = 12
 
 
 @functools.cache
-def _luby_levels():
-    import numpy as np
-
-    return functools.reduce(
-        lambda s, k: np.concatenate([s, s, [k]]), range(_LUBY_DEPTH), np.zeros(0, np.intp)
-    )
+def _luby_head(k):
+    """An itemgetter of the slots of the first 2**k - 2 terms of S_k, which
+    are S_{k-1} twice, S_k built by S_{k+1} = S_k S_k 2**k from S_0 = ()."""
+    levels = functools.reduce(lambda s, j: s + s + (j,), range(k - 1), ())
+    return operator.itemgetter(*levels, *levels)
 
 
 def _luby_pieces(unit, stats):
@@ -225,16 +213,10 @@ def _luby_pieces(unit, stats):
     tail = functools.partial(_luby_tail, unit, stats)
     for k, levels in luby_pieces(_LUBY_DEPTH):
         if k:
-            head = _luby_levels()[: (1 << k) - 2] if k > 1 else None
+            head = _luby_head(k) if k > 1 else None
             yield head, k - 1, (1, unit * (1 << (k - 1))), tail
         for level in levels:
             yield None, level, (1, unit * (1 << level)), tail
-
-
-def _first(mask) -> int:
-    """Index of the first True in a nonempty numpy mask, or its length if none."""
-    i = int(mask.argmax())
-    return i if mask[i] else len(mask)
 
 
 def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
@@ -247,6 +229,7 @@ def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     # _group_terms per slot; Luby level 64 would first come after 2**65 attempts.
     partials, factors = [0.0] * 64, [0.0] * 64
     survival, total, attempts = 1.0, 0.0, 0
+    run = None  # the last Luby run: its start (head, survival, total) and tables
     for head, slot, group, tail in pieces:
         # s[i], t[i]: survival and total before the piece's i-th term; the
         # last term is summed after the checks.
@@ -254,14 +237,23 @@ def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
             s, t = (survival,), (total,)
             i_zero = 0 if survival <= 0.0 else 1
             i_cert = 0 if survival <= eps_tail else 1
+        elif run is None or run[0] != (head, survival, total):
+            # A Luby run, term by term as the per-term loop rounds, and a
+            # pure function of where it starts: a survival stuck at a
+            # subnormal fixed point repeats it.  Survival never rises, so
+            # bisect finds the first term at or below a level.
+            s, t = [survival], [total]
+            s_i, t_i = survival, total
+            for factor, partial in zip(head(factors), head(partials)):
+                t_i += s_i * partial
+                s_i *= factor
+                s.append(s_i)
+                t.append(t_i)
+            i_zero = bisect.bisect_left(s, 0.0, key=operator.neg)
+            i_cert = bisect.bisect_left(s, -eps_tail, key=operator.neg)
+            run = (head, survival, total), s, t, i_zero, i_cert
         else:
-            # A Luby run.  numpy's accumulate runs left to right, so it rounds
-            # as a per-term loop does (np.sum would not).
-            import numpy as np
-
-            s = np.multiply.accumulate(np.concatenate(([survival], np.asarray(factors)[head])))
-            t = np.add.accumulate(np.concatenate(([total], s[:-1] * np.asarray(partials)[head])))
-            i_zero, i_cert = _first(s <= 0.0), _first(s <= eps_tail)
+            _, s, t, i_zero, i_cert = run
         # The first term that ends the scan.  Before a term: exact zero
         # survival left by the term before; then, where the piece has a
         # certificate, the certificate once survival <= eps_tail, and the
@@ -273,19 +265,19 @@ def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
         else:
             i_cap = min(max(attempt_cap + 1 - attempts, 0), n)
         if i_cert < min(i_zero, i_cap + 1):
-            bound = tail(attempts + i_cert, float(s[i_cert]))
+            bound = tail(attempts + i_cert, s[i_cert])
             if bound is not None:
-                return CostEstimate(float(t[i_cert]), bound, attempts + i_cert)
+                return CostEstimate(t[i_cert], bound, attempts + i_cert)
         if i_zero < n and i_zero <= i_cap:
-            return CostEstimate(float(t[i_zero]), 0.0, attempts + i_zero)
+            return CostEstimate(t[i_zero], 0.0, attempts + i_zero)
         if i_cap < n:
             raise TailNotConvergent(
                 f"no tail certificate after {attempts + i_cap} attempts of schedule {schedule.label}"
             )
         partial, factor, _ = _group_terms(model, stats, *group)
         partials[slot], factors[slot] = partial, factor
-        total = float(t[-1]) + float(s[-1]) * partial
-        survival = float(s[-1]) * factor
+        total = t[-1] + s[-1] * partial
+        survival = s[-1] * factor
         attempts += n - 1 + group[0]
         if survival <= 0.0:  # checked before the next piece is asked for
             return CostEstimate(total, 0.0, attempts)
@@ -337,11 +329,7 @@ def _threshold_candidates(dist: DistX, t_lo: float, t_hi: float) -> list[float]:
 def _min_log_ratio(dist: DistX, t_lo: float, t_hi: float):
     """Minimize t - ln Pr(X < t) over the candidate set; None if Pr is 0 throughout."""
     ts = _threshold_candidates(dist, t_lo, t_hi)
-    if dist.family == "adversarial_density":
-        from numpy import log  # np.log sets the density's bits
-    else:
-        log = math.log
-    ratios = [(t - log(p), t) for t in ts if (p := cdf_strict(dist, t)) > 0.0]
+    ratios = [(t - math.log(p), t) for t in ts if (p := cdf_strict(dist, t)) > 0.0]
     if not ratios:
         return None
     log_ratio, witness = min(ratios, key=lambda r: r[0])  # the first minimum

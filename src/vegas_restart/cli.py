@@ -4,9 +4,9 @@ Subcommands: analyze (exact oracle + checkers), simulate (Monte Carlo),
 verify (zoo-wide guarantee suite), sweep (cost-vs-mean curves), demo
 (resumable processes end to end).
 
-Exit codes: 0 ok, 1 failed verify verdicts, 2 config/usage error, 3 tail not
-convergent or integral not converged, 4 infinite expected cost where the mode
-requires finite, 5 cap trips above the configured threshold.
+Exit codes: 0 ok, 1 failed verify verdicts, 2 config/usage error, 3 an
+expected cost the oracle cannot certify, 4 infinite expected cost where the
+mode requires finite, 5 cap trips above the configured threshold.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import analysis, distx, engine, schedules, verify
 from .analysis import TailNotConvergent, analytic_cost
-from .distx import IntegrationLimitError, RuntimeModel, build_distribution, expectation
+from .distx import RuntimeModel, build_distribution, expectation
 from .engine import Caps, SamplerProcess, default_caps, mc_expected_cost
 from .schedules import build_schedule
 
@@ -513,7 +513,7 @@ def main(argv=None) -> int:
     except (ConfigError, schedules.ScheduleRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TailNotConvergent, IntegrationLimitError) as exc:
+    except TailNotConvergent as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

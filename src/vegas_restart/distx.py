@@ -265,22 +265,24 @@ def support_max(dist: DistX) -> float:
 
 
 def _cdf(dist: DistX, t, side: str):
-    if dist.family != "adversarial_density" and isinstance(t, (float, int)):
-        xs, prefixes = dist.atom_prefixes
-        search = bisect.bisect_left if side == "left" else bisect.bisect_right
-        return prefixes[search(xs, float(t))]
-    import numpy as np  # for arrays, and for the density: np.expm1 sets its bits
+    if not isinstance(t, (float, int)):
+        import numpy as np  # an array maps element by element through the scalar path
 
-    ts = np.asarray(t, dtype=float)
+        ts = np.asarray(t, dtype=float)
+        out = np.array([_cdf(dist, float(x), side) for x in ts.ravel()]).reshape(ts.shape)
+        return float(out) if out.ndim == 0 else out
+    t = float(t)
     if dist.family == "adversarial_density":
         a, t_max = _adv_consts(dist)
+        if t <= 0.0:
+            return 0.0
+        if t >= t_max:
+            return 1.0
         # exp(t - (E+1)) - a as a*expm1(t), which does not cancel for small t.
-        # Past t_max the value is 1; the minimum keeps expm1 from overflowing.
-        out = np.clip(a * np.expm1(np.minimum(ts, t_max)), 0.0, 1.0)
-        out = np.where(ts <= 0.0, 0.0, np.where(ts >= t_max, 1.0, out))
-    else:
-        out = np.array([_cdf(dist, float(x), side) for x in ts.ravel()]).reshape(ts.shape)
-    return float(out) if out.ndim == 0 else out
+        return min(a * math.expm1(t), 1.0)
+    xs, prefixes = dist.atom_prefixes
+    search = bisect.bisect_left if side == "left" else bisect.bisect_right
+    return prefixes[search(xs, t)]
 
 
 def cdf_strict(dist: DistX, t: float | np.ndarray) -> float | np.ndarray:
@@ -327,129 +329,105 @@ def sample_x(dist: DistX, rng) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod quadrature.
+# The adversarial density under the geometric law, in closed form.
+#
+# With a = e^-(E+1), z = e^-t_max = a/(1+a) and u = e^-x, an attempt of n
+# whole steps fails with probability q(n) = a * int_z^1 (1-u)^n u^-2 du and is
+# charged m(n) = a * int_z^1 (1 - (1-u)^n) u^-3 du on average.  Integrating
+# by parts, with g_k = 1 - (1-z)^k and J_k = int_z^1 (1-u)^k / u du,
+#   p(n) = 1 - q(n) = g_{n-1} + a n J_{n-1},
+#   q(n-1) = q(n) + a J_{n-1},
+#   m(n) = (n q(n-1) + (1+a)^2 (g_n - z^2) / a) / 2,
+# each a sum of nonnegative terms.  With 1 - u = e^-s, s runs from
+# ln(1+a) = -ln(1-z), and the kernels 1/(e^s - 1) of J and
+# e^s/(e^s - 1)^2 of q expand in Bernoulli numbers into asymptotic series of
+# incomplete gamma functions Gamma(j, w) with w = k ln(1+a) (DLMF 8.19):
+#   J_k = sum_j (B_j/j!) k^-j Gamma(j, w),
+#   q(n) = a n sum_j (1-2j) (B_2j/(2j)!) n^-2j Gamma(2j-1, w),
+# whose terms shrink until 2j is about 2 pi k, so they serve k >= 6 for J and
+# n >= 8 for q.  Below those J is t_max - sum_{i<=k} (1-z)^i / i, and q is
+# 1 - p wherever p <= 1/2 or n < 8 (then q > 0.03), which keeps its digits.
 
-# QUADPACK's qk15 pair (Piessens et al., QUADPACK, 1983): (node, Kronrod
-# weight, Gauss weight) for the 8 of the 15 Kronrod nodes on [-1, 1] that are
-# >= 0.  Every other node from the second is a 7-point Gauss node; the Gauss
-# weight is 0 at the others.
-_QK15 = (
-    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
-    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204, 0.129484966168869693270611432679082),
-    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
-    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238, 0.279705391489276667901467771423780),
-    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
-    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014, 0.381830050505118944950369775488975),
-    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
-    (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
-)
+_EULER_GAMMA = 0.5772156649015329
+_EPS = sys.float_info.epsilon
 
 
 @functools.cache
-def gk_rule():
-    """(nodes, weights, kronrod, sums) as numpy arrays, built on first use:
-    all 15 nodes in increasing order, their (Kronrod, Gauss) weight columns,
-    the Kronrod column, and the columns Kronrod and Kronrod minus Gauss."""
-    import numpy as np
+def _even_bernoulli() -> tuple[float, ...]:
+    """B_2m / (2m)! for m = 0, ..., 18, from the Taylor series of
+    s / (e^s - 1), the rational numbers rounded once."""
+    from fractions import Fraction
 
-    qk15 = np.array(_QK15)
-    nodes = np.concatenate([-qk15[:, 0], qk15[-2::-1, 0]])
-    weights = np.concatenate([qk15[:, 1:], qk15[-2::-1, 1:]])
-    kronrod = np.ascontiguousarray(weights[:, 0])
-    return nodes, weights, kronrod, np.stack([kronrod, kronrod - weights[:, 1]], axis=1)
+    b = [Fraction(1)]
+    for j in range(1, 37):
+        b.append(-sum(bi / math.factorial(j + 1 - i) for i, bi in enumerate(b)))
+    return tuple(float(x) for x in b[::2])
 
 
-QUAD_RTOL = 1e-12
-# Absolute floor of the tolerance: an integral below it counts as zero.
-QUAD_ATOL = 1e-280
-_ROUNDOFF = 50.0 * sys.float_info.epsilon
+def _scaled_expint(order: int, w: float) -> float:
+    """e^w E_order(w) for order 1 or 2 and w > 0 (DLMF 8.19).  Above w = 1 the
+    continued fraction, evaluated backward from a depth that reaches double
+    precision (measured against mpmath); up to 1 the power series of E_1, and
+    E_2(w) = e^-w - w E_1(w)."""
+    if w > 1.0:
+        depth = 8 + int(160.0 / w)
+        f = w + order + 2.0 * depth
+        for i in range(depth, 0, -1):
+            f = w + order + 2.0 * (i - 1) - i * (order - 1 + i) / f
+        return 1.0 / f
+    e1, fact = -math.log(w) - _EULER_GAMMA, 1.0
+    for i in range(1, 40):
+        fact *= -w / i
+        e1 -= fact / i
+        if abs(fact) <= _EPS * abs(e1):
+            break
+    e1 *= math.exp(w)
+    return e1 if order == 1 else 1.0 - w * e1
 
 
-class IntegrationLimitError(RuntimeError):
-    """quad's error estimate misses max(QUAD_RTOL * |value|, QUAD_ATOL)."""
-
-
-def quad(f, points):
-    """Integrate a vector of integrands over [points[0], points[-1]].
-
-    f maps an array of nodes to an array with one leading row per integrand
-    (shape (rows,) + nodes.shape); points is the increasing partition.  One
-    pass evaluates f once on the 15 Kronrod nodes of every interval.  Returns
-    (values, errors), one entry per row, when every row's summed error
-    estimate is at most max(QUAD_RTOL * |value|, QUAD_ATOL); raises
-    IntegrationLimitError otherwise, and for a NaN integrand.
-    """
-    import numpy as np
-
-    nodes, _, kronrod_w, gk_sums = gk_rule()
-    lo = np.asarray(points[:-1], dtype=float)
-    half = 0.5 * (np.asarray(points[1:], dtype=float) - lo)
-    fx = f((lo + half)[:, None] + half[:, None] * nodes)
-    sums = fx @ gk_sums
-    kronrod = sums[..., 0]
-    err = np.abs(sums[..., 1])
-    spread = np.abs(fx - 0.5 * kronrod[..., None]) @ kronrod_w
-    # qk15's scaling: a small Gauss-Kronrod difference means a much smaller
-    # Kronrod error, but never below what rounding leaves.
-    ratio = np.minimum(200.0 * err, spread) / np.maximum(spread, sys.float_info.min)
-    err = np.maximum(spread * ratio * np.sqrt(ratio), _ROUNDOFF * (np.abs(fx) @ kronrod_w))
-    total, total_err = (kronrod * half).sum(axis=1), (err * half).sum(axis=1)
-    tol = np.maximum(QUAD_RTOL * np.abs(total), QUAD_ATOL)
-    if not np.all(total_err <= tol):  # a NaN fails this too
-        raise IntegrationLimitError(
-            f"quad misses its tolerance in one pass: error estimate "
-            f"{total_err.tolist()} against tolerance {tol.tolist()}"
-        )
-    return total, total_err
-
-
-# Partition of the adversarial-density integrals under the geometric law,
-# at most 41 intervals.  Both integrands increase in x, at a rate between 1
-# and 2 except near ln n, where the failure factor (1 - e^-x)^n turns over.
-# So the breakpoints are graded down from the top of the support, t_max, and
-# from ln n: an interval at distance d carries about e^-d of the total, so it
-# may be wider the larger d is.  Below ln n the failure factor is about
-# exp(-u) with u = n e^-x, so there the breakpoints are spaced in u instead.
-# With these steps one pass meets QUAD_RTOL for every E <= MAX_SUPPORT_LOG and
-# every double budget tried (tests/test_quad.py sweeps them).
-_GRADED_DOWN = (1.0, 2.0, 4.0, 7.0, 11.0, 16.0, 24.0, 32.0, 48.0, 64.0, 128.0, 256.0)
-_ABOVE_LN_N = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-_U_STEPS = (0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 32.0, 64.0)
-
-
-def _adv_geometric_partition(t_max: float, n: float) -> list[float]:
-    ln_n = math.log(n)
-    u_top = max(1.0, math.exp(ln_n - t_max))  # u at t_max, or 1 if ln n < t_max
-    pts = [ln_n - math.log(u_top + s) for s in _U_STEPS]
-    pts += [ln_n + d for d in _ABOVE_LN_N]
-    pts += [ln_n - d for d in _GRADED_DOWN]
-    pts += [t_max - d for d in _GRADED_DOWN]
-    return [0.0, *sorted({p for p in pts if 0.0 < p < t_max}), t_max]
+def _gamma_series(k: float, w: float, shift: int, scale: float) -> float:
+    """scale e^-w times the series for J_k (shift 0) or q(k) / (a k) (shift 1)
+    at w = k ln(1+a), or 0 once e^-w underflows.  Term m >= 1 is
+    c_m k^-2m e^w Gamma(2m - shift, w), with c_m = B_2m/(2m)! for J and
+    (1-2m) B_2m/(2m)! for q; e^w Gamma(j, w) comes from e^w Gamma(1, w) = 1 by
+    the upward recurrence e^w Gamma(j+1, w) = j e^w Gamma(j, w) + w^j, which
+    adds positive terms only."""
+    decay = math.exp(-w)
+    if decay == 0.0:
+        return 0.0
+    if shift:
+        total = _scaled_expint(2, w) / w  # Gamma(-1, w) = E_2(w) / w
+    else:
+        total = _scaled_expint(1, w) - 1.0 / (2.0 * k)  # Gamma(0, w) = E_1(w), and B_1
+    g, j, w_j = 1.0, 1, w
+    inv_k2 = 1.0 / (k * k)
+    power = inv_k2
+    for m, b in enumerate(_even_bernoulli()[1:], 1):
+        while j < 2 * m - shift:
+            g, j, w_j = j * g + w_j, j + 1, w_j * w
+        term = (1 - 2 * m if shift else 1) * b * power * g
+        total += term
+        if abs(term) <= _EPS * abs(total):
+            break
+        power *= inv_k2
+    return scale * total * decay  # decay last: it may be subnormal
 
 
 def _adv_geometric_stats(dist: DistX, n: float) -> tuple[float, float, float]:
-    """(q, m, p) of the adversarial density when an attempt gets n >= 1 steps.
-
-    Given X = x the run is geometric with success probability e^-x, so it
-    fails with probability (1 - e^-x)^n and is charged
-    (1 - (1 - e^-x)^n) e^x steps on average; q and m integrate both against
-    the density e^(x - (E+1)) over the same nodes, and p is 1 - q.
-    """
-    import numpy as np  # np.log1p, np.exp and np.expm1 set these bits
-
-    e1 = dist.E + 1.0
-    _, t_max = _adv_consts(dist)
-
-    def integrands(x):
-        # -inf, at nodes that round to x = 0 or for huge n, means fail = 0.
-        with np.errstate(divide="ignore", over="ignore"):
-            log_fail = n * np.log1p(-np.exp(-x))
-        density = np.exp(x - e1)
-        return np.stack([np.exp(log_fail) * density, -np.expm1(log_fail) * np.exp(x) * density])
-
-    (q, m), _ = quad(integrands, _adv_geometric_partition(t_max, n))
-    q = min(1.0, float(q))
-    return q, float(m), 1.0 - q
+    """(q, m, p) of the adversarial density when an attempt gets n >= 1
+    whole steps, in closed form (see above); p keeps its relative precision."""
+    a, t_max = _adv_consts(dist)
+    s = math.log1p(a)
+    k = n - 1.0
+    if k < 6.0:
+        j_fail = t_max - math.fsum(math.exp(-i * s) / i for i in range(1, int(k) + 1))
+    else:
+        j_fail = _gamma_series(k, k * s, 0, 1.0)
+    p = -math.expm1(-k * s) + a * n * j_fail
+    q = 1.0 - p if p <= 0.5 or n < 8.0 else _gamma_series(n, n * s, 1, a * n)
+    z = a / (1.0 + a)
+    m = (n * (q + a * j_fail) + (1.0 + a) ** 2 * (-math.expm1(-n * s) - z * z) / a) / 2.0
+    return q, min(m, n), p  # an attempt is charged at most n steps
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +439,7 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float, float]:
     charged to the attempt], i.e. E[min(T, b)] under the deterministic law
     and E[min(T, floor(b))] under the geometric law (integer steps), and
     p = Pr(attempt succeeds) at full relative precision, not as 1 - q, which
-    loses a p below about 1e-16.  Only the density under the geometric law
-    takes p = 1 - q, good to about QUAD_RTOL.
+    loses a p below about 1e-16.
     """
     b = float(b)
     if b <= 0.0:

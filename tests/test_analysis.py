@@ -238,13 +238,15 @@ def test_cyclic_closed_form_refuses_to_overflow():
 
 
 def test_density_geometric_cycle_refuses_an_unresolved_success_probability():
-    # With 5 whole steps the density's success probability is about 9.6e-25,
-    # but 1 - q from the quadrature reads 2.2e-16, which would give a cost of
-    # about 2.3e16 against a true 5.19837778794628e24 (50-digit mpmath).
+    # With 5 whole steps the density's success probability is about 9.6e-25.
+    # Taking it as 1 - q from a quadrature read 2.2e-16, so the oracle used to
+    # refuse the cycle (TailNotConvergent, "numerical integration"); the
+    # closed form keeps p at full relative precision and returns the cost,
+    # 5.19837778794628e24 by 50-digit mpmath.
     model = RuntimeModel(adversarial_density(60.0), "geometric")
-    with pytest.raises(TailNotConvergent, match="numerical integration"):
-        analytic_cost(model, single_threshold_schedule(1.0))
-    # A resolved success probability still gets its closed form.
+    est = analytic_cost(model, single_threshold_schedule(1.0))
+    assert (est.tail_bound, est.attempts_summed) == (0.0, 1)
+    assert abs(est.expected_cost / 5.19837778794628e24 - 1.0) <= 4 * 2.0**-53, est
     est = analytic_cost(RuntimeModel(adversarial_density(5.0), "geometric"), fixed_schedule(5.0))
     assert math.isfinite(est.expected_cost) and est.tail_bound == 0.0
 
@@ -572,13 +574,19 @@ def test_expected_runtime_helper():
 # default eps_tail and attempt_cap, recorded from earlier scans that summed a
 # round (a universal block or a Luby term) at a time; the piece-wise scan must
 # reproduce them bit for bit.
-# The adversarial_density x geometric pins are the package's Gauss-Kronrod
-# rule's bits; the values below were scipy.integrate.quad's (epsrel 1e-11),
-# and the pins must agree with them to that tolerance.
+# The adversarial_density x geometric pins are the closed form's bits.  The
+# values below were scipy.integrate.quad's (epsrel 1e-11) and then a
+# Gauss-Kronrod rule's (the old pins, good to 1e-12); the pins must agree
+# with both to those tolerances.
 _SCIPY_SCAN_VALUES = {
     ("adversarial_density(E=5)|geometric", "universal"): (202.71439674636747, 0.0, 2),
     ("adversarial_density(E=5)|geometric", "luby(unit=1)"): (80.13394781790622, 0.0007435038876474849, 519),
     ("adversarial_density(E=5)|geometric", "luby(unit=4)"): (93.21732878298997, 0.00024622402900640103, 197),
+}
+_QUAD_SCAN_PINS = {
+    ("adversarial_density(E=5)|geometric", "universal"): (202.71439674636744, 0.0, 2),
+    ("adversarial_density(E=5)|geometric", "luby(unit=1)"): (80.13394781790606, 0.0007435038876474565, 519),
+    ("adversarial_density(E=5)|geometric", "luby(unit=4)"): (93.21732878298955, 0.00024622402900638585, 197),
 }
 _SCAN_PINS = [
         (two_point(1.0), "deterministic", universal_schedule(), (4.194528049465325, 0.0, 2)),
@@ -606,9 +614,9 @@ _SCAN_PINS = [
         (fixed_t_counterexample(20.0, 40.0), "deterministic", universal_schedule(), (4745035.986235101, 8.847413043285821e-101, 348)),
         (fixed_t_counterexample(20.0, 40.0), "deterministic", luby_schedule(1.0), (2.1027781228066234, 5.3691522346865544e-06, 33)),
         (fixed_t_counterexample(20.0, 40.0), "deterministic", luby_schedule(4.0), (5.411112491381106, 2.1476608938746218e-05, 33)),
-        (adversarial_density(5.0), "geometric", universal_schedule(), (202.71439674636744, 0.0, 2)),
-        (adversarial_density(5.0), "geometric", luby_schedule(1.0), (80.13394781790606, 0.0007435038876474565, 519)),
-        (adversarial_density(5.0), "geometric", luby_schedule(4.0), (93.21732878298955, 0.00024622402900638585, 197)),
+        (adversarial_density(5.0), "geometric", universal_schedule(), (202.71439674636753, 0.0, 2)),
+        (adversarial_density(5.0), "geometric", luby_schedule(1.0), (80.13394781790709, 0.0007435038876476086, 519)),
+        (adversarial_density(5.0), "geometric", luby_schedule(4.0), (93.21732878299011, 0.0002462240290064076, 197)),
         (variance_counterexample(5.0, 10.0), "deterministic", universal_schedule(), (902.2868901908497, 1.6772771020411924e-09, 348)),
         (variance_counterexample(5.0, 10.0), "deterministic", luby_schedule(1.0), (487.27381637170055, 5.647793208664182e-05, 1022)),
         (variance_counterexample(5.0, 10.0), "deterministic", luby_schedule(4.0), (1039.1918603936153, 6.592639557465349e-07, 255)),
@@ -636,6 +644,7 @@ def test_unbounded_scan_enclosures_are_bit_identical(dist, law, schedule, expect
     scipy_values = _SCIPY_SCAN_VALUES.get((model.label, schedule.label))
     if scipy_values is not None:
         assert got == pytest.approx(scipy_values, rel=1e-11, abs=0.0)
+        assert got == pytest.approx(_QUAD_SCAN_PINS[model.label, schedule.label], rel=1e-12, abs=0.0)
 
 
 # Ten atoms of mass 0.1: the failure probability of a hopeless budget sums to

@@ -451,18 +451,33 @@ def test_sweep_range_guard_maps_to_config_error(capsys):
     [
         ({"kind": "discrete", "atoms": [[0.0, 1e-310], [50.0, 1.0 - 1e-310]]}, "deterministic",
          0, "overflows double range"),
-        ({"kind": "adversarial_density", "E": 60}, "geometric", 1, "numerical integration"),
     ],
 )
 def test_analyze_untrusted_closed_form_exits_three(tmp_path, capsys, dist, law, t, reason):
-    # A cyclic closed form past double range, and one whose success
-    # probability the quadrature cannot resolve, are refused by name.
+    # A cyclic closed form past double range is refused by name.
     cfg = write_config(
         tmp_path,
         {"distribution": dist, "law": law, "schedule": {"kind": "single_threshold", "t": t}},
     )
     assert main(["analyze", "--config", cfg]) == 3
     assert reason in capsys.readouterr().err
+
+
+def test_analyze_density_geometric_cycle_with_a_tiny_success_probability(tmp_path, capsys):
+    # Its success probability is about 9.6e-25.  The oracle used to refuse it
+    # with exit 3 ("numerical integration"), as 1 - q from a quadrature could
+    # not resolve it; the closed form keeps p and prints the cost,
+    # 5.19837778794628e24 by 50-digit mpmath.
+    cfg = write_config(
+        tmp_path,
+        {"distribution": {"kind": "adversarial_density", "E": 60}, "law": "geometric",
+         "schedule": {"kind": "single_threshold", "t": 1}, "mode": "analyze"},
+    )
+    out = tmp_path / "out.csv"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert float(row["tail_bound"]) == 0.0
+    assert abs(float(row["analytic_cost"]) / 5.19837778794628e24 - 1.0) <= 4 * 2.0**-53
 
 
 def test_analyze_uncoverable_universal_exits_three(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Cold start: no subcommand loads scipy, not even the adversarial-density
-integrals, and the oracle on atom models loads no numpy."""
+"""Cold start: no subcommand loads scipy, and the oracle (analyze, sweep,
+verify) loads no numpy on any model."""
 
 import os
 import subprocess
@@ -62,12 +62,14 @@ atoms = [
     {"kind": "constant", "c": 5},
     {"kind": "discrete", "atoms": [[0.0, 0.25], [3.5, 0.5], [9.0, 0.25]]},
 ]
-cfg = tmp / "atoms.json"
+kinds = [{"kind": k} for k in ("fixed", "two_threshold", "specific_E", "universal")]
+cfg = tmp / "models.json"
 cfg.write_text(json.dumps([
-    {"distribution": d, "law": law, "schedule": {"kind": kind}, "mode": "analyze"}
-    for d in atoms
+    {"distribution": d, "law": law, "schedule": schedule, "mode": "analyze"}
+    for d, schedules in [(d, kinds) for d in atoms]
+    + [({"kind": "adversarial_density", "E": 5}, kinds + [{"kind": "luby", "unit": 1}])]
     for law in ("deterministic", "geometric")
-    for kind in ("fixed", "two_threshold", "specific_E", "universal")
+    for schedule in schedules
 ]))
 assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp / "a.csv")]) == 0
 for i, args in enumerate([
@@ -75,8 +77,11 @@ for i, args in enumerate([
      "--schedules", "fixed,two_threshold,universal"],
     ["--family", "fixed_t_counterexample", "--t", "2E", "--e-start", "5", "--e-stop", "20",
      "--schedules", "single_threshold:2E,universal"],
+    ["--family", "adversarial_density", "--e-start", "5", "--e-stop", "10",
+     "--schedules", "fixed,two_threshold,universal,luby:4", "--law", "geometric"],
 ]):
     assert cli.main(["sweep", *args, "--out", str(tmp / f"sweep{i}.csv")]) == 0
+assert cli.main(["verify", "--scope", "all", "--out", str(tmp / "v.csv")]) == 0
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     cli.main(["--help"])
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
@@ -84,6 +89,8 @@ assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
 
 
 def test_oracle_on_atom_models_does_not_load_numpy(tmp_path):
+    # Named for the atom models it first covered; it now runs the density
+    # (both laws, Luby included), a geometric density sweep and verify too.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_WITHOUT_NUMPY, str(tmp_path)],
@@ -93,33 +100,43 @@ def test_oracle_on_atom_models_does_not_load_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     rows = (tmp_path / "a.csv").read_text().splitlines()
-    assert len(rows) == 1 + 5 * 2 * 4
+    assert len(rows) == 1 + 5 * 2 * 4 + 2 * 5
+    assert sum("adversarial_density" in row for row in rows) == 2 * 5
     assert all("FAIL" not in row for row in rows)
     assert len((tmp_path / "sweep0.csv").read_text().splitlines()) == 1 + 26 * 3
     assert len((tmp_path / "sweep1.csv").read_text().splitlines()) == 1 + 16 * 2
+    assert len((tmp_path / "sweep2.csv").read_text().splitlines()) == 1 + 6 * 4
+    assert len((tmp_path / "v.csv").read_text().splitlines()) == 1 + 462
 
 
-# The three values were scipy.integrate.quad's (epsrel 1e-11) before the
-# package had its own Gauss-Kronrod rule; they must still agree to that
-# tolerance.  The pins are the rule's own bits.
+# The three values were scipy.integrate.quad's (epsrel 1e-11), and the old
+# pins a Gauss-Kronrod rule's (good to 1e-12); the closed form must still
+# agree with both to those tolerances.  The pins are the closed form's bits,
+# each within 2 ulps of 50-digit mpmath.
 _SCIPY_VALUES = {
     (5.0, 20.0): (0.8300541274381894, 18.15406358034886),
     (10.0, 1e4): (0.6169216531154262, 7689.605366481731),
     (20.0, 1e9): (0.2143224030022824, 457647872.2503075),
+}
+_QUAD_PINS = {
+    (5.0, 20.0): (0.8300541274381895, 18.15406358034886),
+    (10.0, 1e4): (0.6169216531154263, 7689.605366481732),
+    (20.0, 1e9): (0.21432240300228245, 457647872.2503076),
 }
 
 
 @pytest.mark.parametrize(
     "E, b, expected",
     [
-        (5.0, 20.0, (0.8300541274381895, 18.15406358034886)),
-        (10.0, 1e4, (0.6169216531154263, 7689.605366481732)),
-        (20.0, 1e9, (0.21432240300228245, 457647872.2503076)),
+        (5.0, 20.0, (0.8300541274381897, 18.154063580348865)),
+        (10.0, 1e4, (0.6169216531154269, 7689.605366481736)),
+        (20.0, 1e9, (0.214322403002283, 457647872.2503085)),
     ],
 )
 def test_adversarial_geometric_stats_are_bit_identical(E, b, expected):
     q, m, p = runtime_stats(RuntimeModel(adversarial_density(E), "geometric"), b)
     stats = (q, m)
     assert repr(stats) == repr(expected)
-    assert p == 1.0 - q
+    assert abs(p + q - 1.0) <= 2 * 2.0**-52
     assert stats == pytest.approx(_SCIPY_VALUES[E, b], rel=1e-11, abs=0.0)
+    assert stats == pytest.approx(_QUAD_PINS[E, b], rel=1e-12, abs=0.0)
