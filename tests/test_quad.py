@@ -1,4 +1,5 @@
-"""The closed-form statistics of the adversarial density under the geometric law."""
+"""The closed-form statistics of the adversarial density under the geometric
+law, which replaced the one-pass Gauss-Kronrod rule behind that oracle."""
 
 import math
 
@@ -148,6 +149,23 @@ def test_tiny_q_matches_the_integral_in_s(E, b):
     _assert_q_close(E, n, _stats(E, b)[0], ref_q)
 
 
+@pytest.mark.parametrize("d", range(23))
+def test_kronrod_rule_integrates_monomials_exactly(d):
+    # The Gauss-Kronrod 7/15 rule the closed form replaced was exact for
+    # polynomials up to degree 22.  The closed form must integrate each
+    # polynomial (1-u)^d it meets exactly too: at n = d + 1 steps
+    # p = 1 - (1-z)^d + a n J_d with J_d = int_z^1 (1-u)^d / u du
+    # = -ln z - sum_{i<=d} (1-z)^i / i, J by its short sum for d < 6 and by
+    # its series above.
+    n = d + 1
+    for E in REFERENCE_ES:
+        with mpmath.workdps(60):
+            a, z = _model_constants(E)
+            j_d = -mpmath.log(z) - mpmath.fsum((1 - z) ** i / i for i in range(1, d + 1))
+            ref_p = -mpmath.expm1(d * mpmath.log1p(-z)) + a * n * j_d
+        assert _rel(_stats(E, float(n))[2], ref_p) <= 16 * _ULP, (E, d)
+
+
 @pytest.mark.parametrize("E", REFERENCE_ES)
 def test_stats_identities(E):
     dist = adversarial_density(E)
@@ -216,7 +234,7 @@ def _extreme_budgets(E):
 
 
 @pytest.mark.parametrize("E", EXTREME_ES)
-def test_density_geometric_stats_match_scipy(E):
+def test_adversarial_geometric_stats_match_scipy(E):
     model = RuntimeModel(adversarial_density(E), "geometric")
     for b in _extreme_budgets(E):
         q, m, _ = runtime_stats(model, b)
@@ -227,7 +245,8 @@ def test_density_geometric_stats_match_scipy(E):
 
 
 # ---------------------------------------------------------------------------
-# Every zoo, benchmark, extreme and random input gets valid statistics.
+# Every zoo, benchmark, extreme and random input closes in one pass: one
+# closed-form evaluation, never refused, with valid statistics.
 
 
 def _assert_valid(E, b):
@@ -237,7 +256,7 @@ def _assert_valid(E, b):
     assert 0.0 < m <= min(n, distx.expectation_exp(adversarial_density(E)) * (1 + 4 * _ULP)), (E, b)
 
 
-def test_every_input_gets_valid_statistics():
+def test_every_input_closes_in_one_pass():
     for E in EXTREME_ES:
         for b in _extreme_budgets(E):
             if b >= 1.0:
