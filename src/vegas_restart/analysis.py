@@ -4,22 +4,21 @@ behind the verification suite.
 The oracle uses renewal summation over independent attempts: with
 (q_i, m_i, _) = runtime_stats at budget i, expected total cost is
 sum_i (prod_{j<i} q_j) * m_i.  Cyclic schedules are summed in closed form;
-universal and Luby are summed a piece at a time, until a tail certificate
-closes the series or the survival hits exact zero.  Expected-cost claims are
-reported as [expected_cost, expected_cost + tail_bound] enclosures.
+universal a block at a time, and Luby a run S_k at a time by the doubling
+recursion, until a tail certificate closes the series or the survival hits
+exact zero.  Expected-cost claims are reported as
+[expected_cost, expected_cost + tail_bound] enclosures.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 from . import distx, starfn
 from .distx import DistX, RuntimeModel, cdf, cdf_strict, expectation, runtime_stats
-from .schedules import MAX_BLOCK_PARAM, Schedule, budget_block, luby_pieces
+from .schedules import MAX_BLOCK_PARAM, Schedule, budget_block
 
 # Bound constants for the cost guarantees of the four strategies, used by the
 # verification suite.  ALG1/ALG4 come from the construction itself; ALG3 and
@@ -106,7 +105,10 @@ def analytic_cost(
     act only on the "universal" and "luby" scans.  Returns +infinity only on
     a support argument (no budget the schedule ever issues can complete a
     run); raises TailNotConvergent when a scan cannot certify its series
-    within attempt_cap attempts, or a closed form cannot be trusted.
+    within attempt_cap attempts, or a closed form cannot be trusted.  A Luby
+    scan refuses after attempt_cap + 1 attempts; "universal" checks the cap
+    at the start of each block, so it refuses after the first block that
+    passes it.
     """
     if not eps_tail > 0.0:
         raise ValueError(f"eps_tail must be positive, got {eps_tail!r}")
@@ -116,7 +118,8 @@ def analytic_cost(
         raise ValueError(f"attempt_cap must be a non-negative whole number, got {attempt_cap!r}")
     if schedule.cycle is not None:
         return _cyclic_cost(model, schedule)
-    return _scan_cost(model, schedule, eps_tail, int(attempt_cap))
+    scan = _luby_cost if schedule.kind == "luby" else _universal_cost
+    return scan(model, schedule, eps_tail, int(attempt_cap))
 
 
 def _cyclic_cost(model, schedule) -> CostEstimate:
@@ -145,16 +148,7 @@ def _cyclic_cost(model, schedule) -> CostEstimate:
     return CostEstimate(cost, 0.0, cycle_attempts)
 
 
-# A piece of an unbounded schedule is (head, slot, group, tail).  group is the
-# piece's last term, (count, budget), evaluated into the slot of the scan's
-# tables when the scan reaches it.  head is None for a piece of that term
-# alone; for a Luby run it holds the table slots of the terms before it, one
-# attempt each, all filled.  tail(attempts, survival) bounds the rest of the
-# series before a term, or gives None before every term of the piece; with
-# tail None only exact zero survival is checked.
-
-
-def _universal_tail(e, stats, attempts, survival):
+def _universal_tail(e, stats, survival):
     """Certificate before budget_block(e)."""
     q_close, _, _ = stats(2.0 * math.exp(e + 10.0))
     if q_close > 0.5:
@@ -167,125 +161,96 @@ def _universal_tail(e, stats, attempts, survival):
     return survival * _BLOCK_COST_FACTOR * math.exp(e) / (1.0 - ratio)
 
 
-def _universal_pieces(stats):
-    """One group per piece, kept in slot 0, from budget_block(e) for e = 5, 6,
-    ..., MAX_BLOCK_PARAM; the rules are tried before a block's first group."""
-    for e in range(5, int(MAX_BLOCK_PARAM) + 1):
-        tail = functools.partial(_universal_tail, e, stats)
-        for group in budget_block(float(e)):
-            yield None, 0, group, tail
-            tail = None
-
-
-def _luby_tail(unit, stats, attempts, survival):
-    """Certificate before the Luby term after the given number of attempts."""
-    if attempts == 0:
-        return None
+def _luby_tail(unit, attempts, survival, q_peak):
+    """Certificate before the Luby term after the given number of attempts,
+    where the highest budget so far fails with probability q_peak <= 0.5."""
     # Peaks of height >= the peak so far recur with index gaps at most twice
     # its multiplier, and a span between two of them costs at most
     # unit * position**2 with the position linear in their count.  Survival
     # shrinks by q_peak per peak: sum_k (k+1)^2 x^k = (1+x)/(1-x)^3 closes the
     # bound.
     mult = float(1 << ((attempts + 1).bit_length() - 2))
-    q_peak, _, _ = stats(unit * mult)
-    if q_peak > 0.5:
-        return None
     span = attempts + 4.0 * mult
     return survival * unit * span * span * (1.0 + q_peak) / (1.0 - q_peak) ** 3
 
 
-# A Luby piece is a run S_k whose levels are all evaluated, or a single term
-# (schedules.luby_pieces); level k lives in slot k.
-_LUBY_DEPTH = 12
-
-
-@functools.cache
-def _luby_head(k):
-    """An itemgetter of the slots of the first 2**k - 2 terms of S_k, which
-    are S_{k-1} twice, S_k built by S_{k+1} = S_k S_k 2**k from S_0 = ()."""
-    levels = functools.reduce(lambda s, j: s + s + (j,), range(k - 1), ())
-    return operator.itemgetter(*levels, *levels)
-
-
-def _luby_pieces(unit, stats):
-    """Luby pieces with the rules tried before every term; a piece passes no
-    new highest peak, so the certificate's verdict holds over it."""
-    tail = functools.partial(_luby_tail, unit, stats)
-    for k, levels in luby_pieces(_LUBY_DEPTH):
-        if k:
-            head = _luby_head(k) if k > 1 else None
-            yield head, k - 1, (1, unit * (1 << (k - 1))), tail
-        for level in levels:
-            yield None, level, (1, unit * (1 << level)), tail
-
-
-def _scan_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
-    """The unbounded kinds, "universal" and "luby", a piece at a time."""
-    stats = functools.cache(lambda budget: runtime_stats(model, budget))  # for this call only
-    if schedule.kind == "universal":
-        pieces = _universal_pieces(stats)
-    else:
-        pieces = _luby_pieces(dict(schedule.params)["unit"], stats)
-    # _group_terms per slot; Luby level 64 would first come after 2**65 attempts.
-    partials, factors = [0.0] * 64, [0.0] * 64
+def _universal_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
+    """The "universal" scan, a block at a time: the certificate and the cap
+    are tried before each block, exact zero survival after each group."""
+    # For this call only: a certificate's budget is its block's closing pair.
+    stats = functools.cache(lambda budget: runtime_stats(model, budget))
     survival, total, attempts = 1.0, 0.0, 0
-    run = None  # the last Luby run: its start (head, survival, total) and tables
-    for head, slot, group, tail in pieces:
-        # s[i], t[i]: survival and total before the piece's i-th term; the
-        # last term is summed after the checks.
-        if head is None:
-            s, t = (survival,), (total,)
-            i_zero = 0 if survival <= 0.0 else 1
-            i_cert = 0 if survival <= eps_tail else 1
-        elif run is None or run[0] != (head, survival, total):
-            # A Luby run, term by term as the per-term loop rounds, and a
-            # pure function of where it starts: a survival stuck at a
-            # subnormal fixed point repeats it.  Survival never rises, so
-            # bisect finds the first term at or below a level.
-            s, t = [survival], [total]
-            s_i, t_i = survival, total
-            for factor, partial in zip(head(factors), head(partials)):
-                t_i += s_i * partial
-                s_i *= factor
-                s.append(s_i)
-                t.append(t_i)
-            i_zero = bisect.bisect_left(s, 0.0, key=operator.neg)
-            i_cert = bisect.bisect_left(s, -eps_tail, key=operator.neg)
-            run = (head, survival, total), s, t, i_zero, i_cert
-        else:
-            _, s, t, i_zero, i_cert = run
-        # The first term that ends the scan.  Before a term: exact zero
-        # survival left by the term before; then, where the piece has a
-        # certificate, the certificate once survival <= eps_tail, and the
-        # attempt cap.
-        n = len(s)
-        i_cap = n
-        if tail is None:
-            i_cert = n
-        else:
-            i_cap = min(max(attempt_cap + 1 - attempts, 0), n)
-        if i_cert < min(i_zero, i_cap + 1):
-            bound = tail(attempts + i_cert, s[i_cert])
+    for e in range(5, int(MAX_BLOCK_PARAM) + 1):
+        if survival <= eps_tail:
+            bound = _universal_tail(e, stats, survival)
             if bound is not None:
-                return CostEstimate(t[i_cert], bound, attempts + i_cert)
-        if i_zero < n and i_zero <= i_cap:
-            return CostEstimate(t[i_zero], 0.0, attempts + i_zero)
-        if i_cap < n:
+                return CostEstimate(total, bound, attempts)
+        if attempts > attempt_cap:
             raise TailNotConvergent(
-                f"no tail certificate after {attempts + i_cap} attempts of schedule {schedule.label}"
+                f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
             )
-        partial, factor, _ = _group_terms(model, stats, *group)
-        partials[slot], factors[slot] = partial, factor
-        total = t[-1] + s[-1] * partial
-        survival = s[-1] * factor
-        attempts += n - 1 + group[0]
-        if survival <= 0.0:  # checked before the next piece is asked for
-            return CostEstimate(total, 0.0, attempts)
-    # Only universal runs out of pieces: budget_block refuses past MAX_BLOCK_PARAM.
+        for count, budget in budget_block(float(e)):
+            partial, factor, _ = _group_terms(model, stats, count, budget)
+            total += survival * partial
+            survival *= factor
+            attempts += count
+            if survival <= 0.0:
+                return CostEstimate(total, 0.0, attempts)
     raise TailNotConvergent(
         f"no tail certificate after {attempts} attempts of schedule {schedule.label}, "
         f"whose blocks end at E = {MAX_BLOCK_PARAM:g}"
     )
+
+
+def _luby_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
+    """Luby by the doubling recursion S_1 = (u), S_{k+1} = S_k S_k u*2**k
+    (Luby, Sinclair and Zuckerman, IPL 47, 1993).  With C_k and Q_k the cost
+    and survival of S_k started fresh and (q, m, p) the statistics at u*2**k,
+    C_{k+1} = C_k + Q_k (C_k + Q_k m) and ln Q_{k+1} = 2 ln Q_k + log1p(-p).
+
+    The checks run after each S_k.  In log space only q = 0 or p = 1 is
+    exact zero; a Q_k that underflows ends the scan on the certificate or
+    the cap, as a survival stuck at a subnormal fixed point does in the
+    per-term sum.  Survival and the peak's q never rise, so a certificate
+    that holds before some attempt holds before every later one: when the
+    cap falls inside S_{k+1}, the first attempt_cap + 1 attempts, whose peak
+    is S_k's, are summed and tried once more before the refusal.
+    """
+    unit = dict(schedule.params)["unit"]
+    runs = []  # (C_j, ln Q_j) for j = 1 ... k
+    cost, log_q, attempts = 0.0, 0.0, 0  # C_k, ln Q_k and the 2**k - 1 attempts of S_k
+    q_peak = 1.0  # q at S_k's peak u*2**(k-1)
+    while True:
+        survival = math.exp(log_q)
+        if log_q == -math.inf:
+            return CostEstimate(cost, 0.0, attempts)
+        if survival <= eps_tail and q_peak <= 0.5:
+            return CostEstimate(cost, _luby_tail(unit, attempts, survival, q_peak), attempts)
+        if attempts > attempt_cap:
+            raise TailNotConvergent(
+                f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
+            )
+        if 2 * attempts > attempt_cap:
+            # S_{k+1} passes attempt_cap + 1 attempts.  Every prefix of the
+            # sequence is some S_j followed by a shorter prefix, so the first
+            # attempt_cap + 1 are S_k and whole runs S_j, j <= k, largest first.
+            while attempts <= attempt_cap:
+                j = (attempt_cap + 2 - attempts).bit_length() - 1
+                run_cost, run_log_q = runs[j - 1]
+                cost += math.exp(log_q) * run_cost
+                log_q += run_log_q
+                attempts += (1 << j) - 1
+            continue
+        budget = math.ldexp(unit, len(runs))
+        q_peak, m, p = runtime_stats(model, budget)
+        if distx.success_impossible(model, budget):
+            p = 0.0
+        cost += survival * (cost + survival * m)
+        # Exact zero as in the per-term sum: q = 0, or p = 1.  With atom
+        # weights that sum to 1 +- 1e-12, p can miss 1 or pass it by rounding.
+        log_q = 2.0 * log_q + (math.log1p(-p) if p < 1.0 and q_peak > 0.0 else -math.inf)
+        attempts = 2 * attempts + 1
+        runs.append((cost, log_q))
 
 
 def renewal_partial_cost(model: RuntimeModel, budgets) -> float:

@@ -4,8 +4,8 @@ Every schedule is a pure function of its parameters.  Budgets are kept as
 real numbers; any integer rounding needed by integer-step runtime laws
 happens at the engine boundary, never here.  Schedules expose a per-attempt
 budget stream and the same stream run-length encoded as (count, budget)
-groups.  The exact cost oracle reads a cycle from Schedule.cycle, and the
-unbounded kinds from budget_block and luby_pieces.
+groups.  The exact cost oracle reads a cycle from Schedule.cycle, the
+universal blocks from budget_block, and Luby's runs from its unit.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class Schedule:
             # raises past the E <= MAX_BLOCK_PARAM guard
             return itertools.chain.from_iterable(map(budget_block, itertools.count(5.0)))
         unit = dict(self.params)["unit"]
-        return ((1, unit * (1 << level)) for _, levels in luby_pieces(0) for level in levels)
+        return ((1, unit * luby_value(i)) for i in itertools.count(1))
 
     def budgets(self) -> Iterator[float]:
         for count, budget in self.groups():
@@ -180,22 +180,6 @@ def luby_value(i: int) -> int:
         if (i + 1) & i == 0:  # i == 2**k - 1
             return (i + 1) >> 1
         i = i - (1 << (i.bit_length() - 1)) + 1
-
-
-def luby_pieces(depth: int) -> Iterator[tuple[int, range]]:
-    """The reluctant-doubling sequence as pieces (k, levels): the 2**k - 1 terms
-    of S_k with k <= depth, then one term 2**level for each level in levels.
-
-    S_1 = (1) and S_k = S_{k-1} S_{k-1} 2**(k-1), so the sequence is S_depth,
-    then for j = 2, 3, ... S_depth again and the terms 2**depth, ...,
-    2**(depth + tz(j) - 1), with tz the trailing zero count.  The first S_depth
-    is laid out as S_k, 2**k for k < depth, so every level first occurs as a
-    single term.
-    """
-    for k in range(depth):
-        yield k, range(k, k + 1)
-    for j in itertools.count(2):
-        yield depth, range(depth, depth + (j & -j).bit_length() - 1)
 
 
 def luby_schedule(unit: float) -> Schedule:

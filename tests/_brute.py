@@ -1,5 +1,5 @@
 """Independent brute-force oracles for cross-checking the renewal summation,
-the per-round reference for the oracle's unbounded scan, and the grid
+the per-round reference for the oracle's unbounded scans, and the grid
 reference for lemma 3's threshold search.
 
 The brute-force oracles enumerate the full outcome tree of a finite attempt
@@ -69,10 +69,13 @@ def brute_cost_geometric(atoms, budgets):
 
 
 # ---------------------------------------------------------------------------
-# Reference for the oracle's unbounded scan: the per-round loop that calls
+# Reference for the oracle's unbounded scans: the per-round loop that calls
 # runtime_stats for every group and every certificate try, with the Luby terms
-# taken from luby_value(i).  analysis._scan_cost, which sums universal and
-# Luby a piece at a time, must match it bit for bit.
+# taken from luby_value(i), one at a time.  analysis._universal_cost, which
+# sums a block at a time, must match it bit for bit.  analysis._luby_cost,
+# which sums a run S_k at a time by the doubling recursion, must answer or
+# refuse where it does, with the same refusal text, and give an enclosure
+# that overlaps its one up to rounding.
 
 
 def _reference_rounds(schedule):

@@ -12,7 +12,6 @@ from vegas_restart.schedules import (
     budget_block,
     build_schedule,
     fixed_schedule,
-    luby_pieces,
     luby_schedule,
     luby_value,
     single_threshold_schedule,
@@ -225,19 +224,13 @@ def test_luby_schedule_budgets_follow_luby_value():
 
 
 def test_luby_pieces_spell_the_sequence_and_introduce_levels_singly():
-    n = 1 << 15
-    values = [luby_value(i) for i in range(1, n + 1)]
-    for depth in (0, 1, 3, 12):
-        run = [luby_value(i).bit_length() - 1 for i in range(1, (1 << depth))]  # S_depth
-        levels, seen = [], set()
-        for k, peaks in luby_pieces(depth):
-            if len(levels) >= n:
-                break
-            assert 0 <= k <= depth
-            assert set(run[: (1 << k) - 1]) <= seen  # a run only repeats levels
-            levels += run[: (1 << k) - 1] + list(peaks)
-            seen.update(peaks)
-        assert [1 << level for level in levels[:n]] == values, depth
+    # Luby's groups are single terms unit * luby_value(i), the same doubles
+    # the oracle's runs S_k take as unit * 2**level.
+    n = 1 << 13
+    for unit in (0.5, 1.0, 3.0):
+        groups = list(itertools.islice(luby_schedule(unit).groups(), n))
+        assert groups == [(1, unit * luby_value(i)) for i in range(1, n + 1)]
+        assert groups[(1 << 13) - 2] == (1, math.ldexp(unit, 12))  # level 12 first ends S_13
 
 
 def test_budget_recomputation_is_bit_identical():
