@@ -19,7 +19,6 @@ from .analysis import (
     expected_runtime,
     find_threshold_witness,
     min_threshold_ratio,
-    renewal_partial_cost,
 )
 from .distx import (
     DistX,

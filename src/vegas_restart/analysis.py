@@ -72,25 +72,19 @@ class LemmaVerdict:
     detail: str = ""
 
 
-def _group_partial(q: float, count: int, m: float) -> float:
-    """sum_{j<count} q**j * m, stable for q near 0 and 1."""
-    if q >= 1.0:
-        return m * count
-    if q <= 0.0:
-        return m
-    return m * (-math.expm1(count * math.log(q))) / (1.0 - q)
-
-
-def _group_terms(
-    model: RuntimeModel, stats, count: int, budget: float
-) -> tuple[float, float, float]:
-    """Summand, survival factor and success probability of count attempts at
-    budget: _group_partial(q, count, m), q**count and p, with q, p = 1, 0 where
-    no run can complete within the budget (the support argument)."""
-    q, m, p = stats(budget)
-    if distx.success_impossible(model, budget):
-        q, p = 1.0, 0.0
-    return _group_partial(q, count, m), q**count, p
+def _group_sum(count: int, q: float, m: float, p: float) -> tuple[float, float]:
+    """Cost and log survival of count attempts at one budget with statistics
+    (q, m, p): m * sum_{j<count} q**j = m * (-expm1(count ln q)) / p, and
+    count ln q.  ln q is log(q) for q <= 1/2 and log1p(-p) above, where p
+    keeps the digits q loses; it is -inf only for q = 0.  p = 0 (no run can
+    finish within the budget) charges m per attempt and keeps the survival."""
+    if p <= 0.0:
+        return m * count, 0.0
+    if q <= 0.5:
+        log_q = count * math.log(q) if q > 0.0 else -math.inf
+    else:
+        log_q = count * math.log1p(-p)
+    return m * -math.expm1(log_q) / p, log_q
 
 
 def analytic_cost(
@@ -124,22 +118,18 @@ def analytic_cost(
 
 def _cyclic_cost(model, schedule) -> CostEstimate:
     """cycle_cost / (1 - Q), Q the survival of one cycle: the renewal series
-    summed in closed form, with 1 - Q = -expm1(sum count * log1p(-p)) at full
-    relative precision however small p is."""
+    summed in closed form, with 1 - Q = -expm1(ln Q) at full relative
+    precision however small p is."""
     cycle_attempts = sum(count for count, _ in schedule.cycle)
     if all(distx.success_impossible(model, budget) for _, budget in schedule.cycle):
         return CostEstimate(math.inf, 0.0, cycle_attempts)
 
-    stats = functools.partial(runtime_stats, model)
     cycle_cost = 0.0  # expected cost accrued over one cycle started fresh
-    survival = 1.0
     log_survival = 0.0  # ln Q
     for count, budget in schedule.cycle:
-        partial, factor, p = _group_terms(model, stats, count, budget)
-        cycle_cost += survival * partial
-        survival *= factor
-        # p can pass 1 by the rounding of atom weights that sum to 1 +- 1e-12
-        log_survival += count * math.log1p(-p) if p < 1.0 else -math.inf
+        cost, log_group = _group_sum(count, *runtime_stats(model, budget))
+        cycle_cost += math.exp(log_survival) * cost
+        log_survival += log_group
     cycle_success = -math.expm1(log_survival)
     cost = cycle_cost / cycle_success
     if cost == math.inf:
@@ -176,10 +166,11 @@ def _luby_tail(unit, attempts, survival, q_peak):
 
 def _universal_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     """The "universal" scan, a block at a time: the certificate and the cap
-    are tried before each block, exact zero survival after each group."""
+    are tried before each block, and a survival e**ln Q of 0.0 (q = 0, or an
+    underflow) ends the scan after any group."""
     # For this call only: a certificate's budget is its block's closing pair.
     stats = functools.cache(lambda budget: runtime_stats(model, budget))
-    survival, total, attempts = 1.0, 0.0, 0
+    log_survival, survival, total, attempts = 0.0, 1.0, 0.0, 0
     for e in range(5, int(MAX_BLOCK_PARAM) + 1):
         if survival <= eps_tail:
             bound = _universal_tail(e, stats, survival)
@@ -190,9 +181,10 @@ def _universal_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
                 f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
             )
         for count, budget in budget_block(float(e)):
-            partial, factor, _ = _group_terms(model, stats, count, budget)
-            total += survival * partial
-            survival *= factor
+            cost, log_group = _group_sum(count, *stats(budget))
+            total += survival * cost
+            log_survival += log_group
+            survival = math.exp(log_survival)
             attempts += count
             if survival <= 0.0:
                 return CostEstimate(total, 0.0, attempts)
@@ -205,16 +197,17 @@ def _universal_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
 def _luby_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
     """Luby by the doubling recursion S_1 = (u), S_{k+1} = S_k S_k u*2**k
     (Luby, Sinclair and Zuckerman, IPL 47, 1993).  With C_k and Q_k the cost
-    and survival of S_k started fresh and (q, m, p) the statistics at u*2**k,
-    C_{k+1} = C_k + Q_k (C_k + Q_k m) and ln Q_{k+1} = 2 ln Q_k + log1p(-p).
+    and survival of S_k started fresh, and c and ln q the cost and log
+    survival of the attempt at u*2**k (_group_sum),
+    C_{k+1} = C_k + Q_k (C_k + Q_k c) and ln Q_{k+1} = 2 ln Q_k + ln q.
 
-    The checks run after each S_k.  In log space only q = 0 or p = 1 is
-    exact zero; a Q_k that underflows ends the scan on the certificate or
-    the cap, as a survival stuck at a subnormal fixed point does in the
-    per-term sum.  Survival and the peak's q never rise, so a certificate
-    that holds before some attempt holds before every later one: when the
-    cap falls inside S_{k+1}, the first attempt_cap + 1 attempts, whose peak
-    is S_k's, are summed and tried once more before the refusal.
+    The checks run after each S_k.  In log space only q = 0 is exact zero;
+    a Q_k that underflows ends the scan on the certificate or the cap, as a
+    survival stuck at a subnormal fixed point does in the per-term sum.
+    Survival and the peak's q never rise, so a certificate that holds
+    before some attempt holds before every later one: when the cap falls
+    inside S_{k+1}, the first attempt_cap + 1 attempts, whose peak is S_k's,
+    are summed and tried once more before the refusal.
     """
     unit = dict(schedule.params)["unit"]
     runs = []  # (C_j, ln Q_j) for j = 1 ... k
@@ -241,31 +234,12 @@ def _luby_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
                 log_q += run_log_q
                 attempts += (1 << j) - 1
             continue
-        budget = math.ldexp(unit, len(runs))
-        q_peak, m, p = runtime_stats(model, budget)
-        if distx.success_impossible(model, budget):
-            p = 0.0
-        cost += survival * (cost + survival * m)
-        # Exact zero as in the per-term sum: q = 0, or p = 1.  With atom
-        # weights that sum to 1 +- 1e-12, p can miss 1 or pass it by rounding.
-        log_q = 2.0 * log_q + (math.log1p(-p) if p < 1.0 and q_peak > 0.0 else -math.inf)
+        q_peak, m, p = runtime_stats(model, math.ldexp(unit, len(runs)))
+        peak_cost, log_peak = _group_sum(1, q_peak, m, p)
+        cost += survival * (cost + survival * peak_cost)
+        log_q = 2.0 * log_q + log_peak
         attempts = 2 * attempts + 1
         runs.append((cost, log_q))
-
-
-def renewal_partial_cost(model: RuntimeModel, budgets) -> float:
-    """Expected cost accrued over the given finite budget prefix.
-
-    sum_i (prod_{j<i} q_j) * m_i; survivors of the last attempt pay their
-    accrued cost, which matches exhaustive outcome-tree enumeration.
-    """
-    survival = 1.0
-    total = 0.0
-    for budget in budgets:
-        q, m, _ = runtime_stats(model, float(budget))
-        total += survival * m
-        survival *= q
-    return total
 
 
 def expected_runtime(model: RuntimeModel) -> float:
@@ -377,12 +351,8 @@ def check_block_coverage(dist: DistX, e: float) -> LemmaVerdict:
 def block_success_prob(model: RuntimeModel, e: float) -> float:
     """Probability that one escalation block for bound e completes a run."""
     e = _require_upper_bound(model.dist, e)
-    log_fail = 0.0
-    for count, budget in budget_block(e):
-        q, _, _ = runtime_stats(model, budget)
-        if q <= 0.0:
-            return 1.0
-        log_fail += count * math.log(q)
+    log_fail = sum(_group_sum(count, *runtime_stats(model, budget))[1]
+                   for count, budget in budget_block(e))
     return -math.expm1(log_fail)
 
 

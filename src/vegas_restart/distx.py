@@ -264,13 +264,7 @@ def support_max(dist: DistX) -> float:
     return dist.atoms[-1][0]
 
 
-def _cdf(dist: DistX, t, side: str):
-    if not isinstance(t, (float, int)):
-        import numpy as np  # an array maps element by element through the scalar path
-
-        ts = np.asarray(t, dtype=float)
-        out = np.array([_cdf(dist, float(x), side) for x in ts.ravel()]).reshape(ts.shape)
-        return float(out) if out.ndim == 0 else out
+def _cdf(dist: DistX, t: float, side: str) -> float:
     t = float(t)
     if dist.family == "adversarial_density":
         a, t_max = _adv_consts(dist)
@@ -285,13 +279,13 @@ def _cdf(dist: DistX, t, side: str):
     return prefixes[search(xs, t)]
 
 
-def cdf_strict(dist: DistX, t: float | np.ndarray) -> float | np.ndarray:
-    """Pr(X < t), strictly below t, for a scalar t or elementwise over an array."""
+def cdf_strict(dist: DistX, t: float) -> float:
+    """Pr(X < t), strictly below t."""
     return _cdf(dist, t, "left")
 
 
-def cdf(dist: DistX, t: float | np.ndarray) -> float | np.ndarray:
-    """Pr(X <= t), inclusive of an atom at t, for a scalar or an array."""
+def cdf(dist: DistX, t: float) -> float:
+    """Pr(X <= t), inclusive of an atom at t."""
     return _cdf(dist, t, "right")
 
 

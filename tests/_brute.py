@@ -1,6 +1,6 @@
 """Independent brute-force oracles for cross-checking the renewal summation,
-the per-round reference for the oracle's unbounded scans, and the grid
-reference for lemma 3's threshold search.
+the per-round reference for the oracle's unbounded scans with its plain
+renewal prefix sum, and the grid reference for lemma 3's threshold search.
 
 The brute-force oracles enumerate the full outcome tree of a finite attempt
 prefix from first principles (per-atom draws, and per-step coin flips for
@@ -14,12 +14,7 @@ import math
 import numpy as np
 
 from vegas_restart import distx
-from vegas_restart.analysis import (
-    _BLOCK_COST_FACTOR,
-    CostEstimate,
-    TailNotConvergent,
-    _group_partial,
-)
+from vegas_restart.analysis import _BLOCK_COST_FACTOR, CostEstimate, TailNotConvergent, _group_sum
 from vegas_restart.distx import expectation, runtime_stats
 from vegas_restart.schedules import budget_block, luby_value
 
@@ -68,14 +63,49 @@ def brute_cost_geometric(atoms, budgets):
     return rec(0, 0.0, 1.0)
 
 
+def group_sum_prefix_cost(model, budgets):
+    """The oracle's group sum (analysis._group_sum) folded over a finite
+    budget prefix, each run of equal budgets one group, with survival in log
+    space as the oracle carries it.  The enumerations above check it."""
+    total, log_survival = 0.0, 0.0
+    for budget, group in itertools.groupby(float(b) for b in budgets):
+        cost, log_group = _group_sum(len(list(group)), *runtime_stats(model, budget))
+        total += math.exp(log_survival) * cost
+        log_survival += log_group
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Reference for the oracle's unbounded scans: the per-round loop that calls
 # runtime_stats for every group and every certificate try, with the Luby terms
-# taken from luby_value(i), one at a time.  analysis._universal_cost, which
-# sums a block at a time, must match it bit for bit.  analysis._luby_cost,
-# which sums a run S_k at a time by the doubling recursion, must answer or
-# refuse where it does, with the same refusal text, and give an enclosure
+# taken from luby_value(i), one at a time, and survival a product of q.
+# analysis._universal_cost, which sums a block at a time, and
+# analysis._luby_cost, which sums a run S_k at a time by the doubling
+# recursion, both with survival in log space, must answer or refuse where it
+# does, with the same refusal text and attempt count, and give an enclosure
 # that overlaps its one up to rounding.
+
+
+def _group_partial(q, count, m):
+    """sum_{j<count} q**j * m, stable for q near 0 and 1."""
+    if q >= 1.0:
+        return m * count
+    if q <= 0.0:
+        return m
+    return m * (-math.expm1(count * math.log(q))) / (1.0 - q)
+
+
+def renewal_partial_cost(model, budgets):
+    """Expected cost accrued over the given finite budget prefix,
+    sum_i (prod_{j<i} q_j) * m_i, one attempt at a time; survivors of the
+    last attempt pay their accrued cost, as in the enumerations above."""
+    survival = 1.0
+    total = 0.0
+    for budget in budgets:
+        q, m, _ = runtime_stats(model, float(budget))
+        total += survival * m
+        survival *= q
+    return total
 
 
 def _reference_rounds(schedule):

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from _brute import brute_cost_deterministic, brute_cost_geometric
+from _brute import brute_cost_deterministic, brute_cost_geometric, group_sum_prefix_cost
 from vegas_restart import analysis, distx, starfn
 from vegas_restart.analysis import (
     ALG1_BOUND_CONSTANT,
@@ -22,7 +22,6 @@ from vegas_restart.analysis import (
     expected_runtime,
     find_threshold_witness,
     min_threshold_ratio,
-    renewal_partial_cost,
 )
 from vegas_restart.distx import (
     RuntimeModel,
@@ -167,8 +166,8 @@ def test_criterion_7_oracle_vs_brute_force():
     for dist, budgets in det_cases:
         model = RuntimeModel(dist, "deterministic")
         brute = brute_cost_deterministic(dist.atoms, budgets)
-        renewal = renewal_partial_cost(model, budgets)
-        if abs(renewal - brute) > 1e-12 * abs(brute):
+        oracle = group_sum_prefix_cost(model, budgets)
+        if abs(oracle - brute) > 1e-12 * abs(brute):
             failures.append(f"deterministic mismatch {dist.label}")
     geom_cases = [
         (two_point(2.0), [2.0] * 12),
@@ -178,8 +177,8 @@ def test_criterion_7_oracle_vs_brute_force():
     for dist, budgets in geom_cases:
         model = RuntimeModel(dist, "geometric")
         brute = brute_cost_geometric(dist.atoms, budgets)
-        renewal = renewal_partial_cost(model, budgets)
-        if abs(renewal - brute) > 1e-12 * abs(brute):
+        oracle = group_sum_prefix_cost(model, budgets)
+        if abs(oracle - brute) > 1e-12 * abs(brute):
             failures.append(f"geometric mismatch {dist.label}")
     report(7, not failures, time.perf_counter() - t0, 10.0, "; ".join(failures))
 
