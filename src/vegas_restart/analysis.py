@@ -72,19 +72,37 @@ class LemmaVerdict:
     detail: str = ""
 
 
-def _group_sum(count: int, q: float, m: float, p: float) -> tuple[float, float]:
-    """Cost and log survival of count attempts at one budget with statistics
-    (q, m, p): m * sum_{j<count} q**j = m * (-expm1(count ln q)) / p, and
-    count ln q.  ln q is log(q) for q <= 1/2 and log1p(-p) above, where p
-    keeps the digits q loses; it is -inf only for q = 0.  p = 0 (no run can
-    finish within the budget) charges m per attempt and keeps the survival."""
+# A segment (n, ln Q, C) is a run of n attempts: its survival e**ln Q and
+# its expected cost C when started fresh.
+_EMPTY = (0, 0.0, 0.0)
+
+
+def _then(a, b):
+    """Segment a followed by segment b, the one place a survival weighs a cost."""
+    return a[0] + b[0], a[1] + b[1], a[2] + math.exp(a[1]) * b[2]
+
+
+def _group_sum(count: int, q: float, m: float, p: float) -> tuple[int, float, float]:
+    """The segment of count attempts at one budget with statistics (q, m, p):
+    ln Q = count ln q and C = m * sum_{j<count} q**j = m * (-expm1(ln Q)) / p.
+    ln q is log(q) for q <= 1/2 and log1p(-p) above, where p keeps the
+    digits q loses; it is -inf only for q = 0.  p = 0 (no run can finish
+    within the budget) charges m per attempt and keeps the survival."""
     if p <= 0.0:
-        return m * count, 0.0
+        return count, 0.0, m * count
     if q <= 0.5:
         log_q = count * math.log(q) if q > 0.0 else -math.inf
     else:
         log_q = count * math.log1p(-p)
-    return m * -math.expm1(log_q) / p, log_q
+    return count, log_q, m * -math.expm1(log_q) / p
+
+
+def _fold(stats, groups, seg=_EMPTY):
+    """seg followed by the groups so far, after each (count, budget) group in
+    turn, its statistics from stats(budget): lazily, one segment per group."""
+    for count, budget in groups:
+        seg = _then(seg, _group_sum(count, *stats(budget)))
+        yield seg
 
 
 def analytic_cost(
@@ -112,24 +130,28 @@ def analytic_cost(
         raise ValueError(f"attempt_cap must be a non-negative whole number, got {attempt_cap!r}")
     if schedule.cycle is not None:
         return _cyclic_cost(model, schedule)
-    scan = _luby_cost if schedule.kind == "luby" else _universal_cost
-    return scan(model, schedule, eps_tail, int(attempt_cap))
+    # The one scan loop.  Before each round a source yields the segment so far
+    # and the certificate for the rest, survival -> tail bound or None.  Luby's
+    # source is endless, and universal's raises when its blocks end.
+    rounds = _luby_rounds if schedule.kind == "luby" else _universal_rounds
+    for (attempts, log_q, cost), tail in rounds(model, schedule, int(attempt_cap)):
+        survival = math.exp(log_q)
+        if survival <= eps_tail and (bound := tail(survival)) is not None:
+            return CostEstimate(cost, bound, attempts)
+        if attempts > attempt_cap:
+            raise TailNotConvergent(
+                f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
+            )
 
 
 def _cyclic_cost(model, schedule) -> CostEstimate:
-    """cycle_cost / (1 - Q), Q the survival of one cycle: the renewal series
-    summed in closed form, with 1 - Q = -expm1(ln Q) at full relative
+    """C / (1 - Q) for the segment (n, ln Q, C) of one cycle: the renewal
+    series summed in closed form, with 1 - Q = -expm1(ln Q) at full relative
     precision however small p is."""
-    cycle_attempts = sum(count for count, _ in schedule.cycle)
     if all(distx.success_impossible(model, budget) for _, budget in schedule.cycle):
-        return CostEstimate(math.inf, 0.0, cycle_attempts)
-
-    cycle_cost = 0.0  # expected cost accrued over one cycle started fresh
-    log_survival = 0.0  # ln Q
-    for count, budget in schedule.cycle:
-        cost, log_group = _group_sum(count, *runtime_stats(model, budget))
-        cycle_cost += math.exp(log_survival) * cost
-        log_survival += log_group
+        return CostEstimate(math.inf, 0.0, sum(count for count, _ in schedule.cycle))
+    *_, (cycle_attempts, log_survival, cycle_cost) = _fold(
+        functools.partial(runtime_stats, model), schedule.cycle)
     cycle_success = -math.expm1(log_survival)
     cost = cycle_cost / cycle_success
     if cost == math.inf:
@@ -151,9 +173,13 @@ def _universal_tail(e, stats, survival):
     return survival * _BLOCK_COST_FACTOR * math.exp(e) / (1.0 - ratio)
 
 
-def _luby_tail(unit, attempts, survival, q_peak):
+def _luby_tail(unit, attempts, q_peak, survival):
     """Certificate before the Luby term after the given number of attempts,
-    where the highest budget so far fails with probability q_peak <= 0.5."""
+    where the highest budget so far fails with probability q_peak."""
+    if q_peak > 0.5:
+        return None
+    if survival == 0.0:  # whatever the span, which has no double past 2**1024 attempts
+        return 0.0
     # Peaks of height >= the peak so far recur with index gaps at most twice
     # its multiplier, and a span between two of them costs at most
     # unit * position**2 with the position linear in their count.  Survival
@@ -164,82 +190,54 @@ def _luby_tail(unit, attempts, survival, q_peak):
     return survival * unit * span * span * (1.0 + q_peak) / (1.0 - q_peak) ** 3
 
 
-def _universal_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
-    """The "universal" scan, a block at a time: the certificate and the cap
-    are tried before each block, and a survival e**ln Q of 0.0 (q = 0, or an
-    underflow) ends the scan after any group."""
+def _universal_rounds(model, schedule, attempt_cap):
+    """The rounds of "universal": the blocks for e = 5, ..., 280, each after
+    the certificate before it.  A survival e**ln Q of 0.0 after any group
+    (q = 0, or an underflow) ends the scan with a tail of 0.0."""
     # For this call only: a certificate's budget is its block's closing pair.
     stats = functools.cache(lambda budget: runtime_stats(model, budget))
-    log_survival, survival, total, attempts = 0.0, 1.0, 0.0, 0
+    seg = _EMPTY
     for e in range(5, int(MAX_BLOCK_PARAM) + 1):
-        if survival <= eps_tail:
-            bound = _universal_tail(e, stats, survival)
-            if bound is not None:
-                return CostEstimate(total, bound, attempts)
-        if attempts > attempt_cap:
-            raise TailNotConvergent(
-                f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
-            )
-        for count, budget in budget_block(float(e)):
-            cost, log_group = _group_sum(count, *stats(budget))
-            total += survival * cost
-            log_survival += log_group
-            survival = math.exp(log_survival)
-            attempts += count
-            if survival <= 0.0:
-                return CostEstimate(total, 0.0, attempts)
+        yield seg, functools.partial(_universal_tail, e, stats)
+        for seg in _fold(stats, budget_block(float(e)), seg):
+            if math.exp(seg[1]) <= 0.0:
+                yield seg, lambda survival: 0.0
     raise TailNotConvergent(
-        f"no tail certificate after {attempts} attempts of schedule {schedule.label}, "
+        f"no tail certificate after {seg[0]} attempts of schedule {schedule.label}, "
         f"whose blocks end at E = {MAX_BLOCK_PARAM:g}"
     )
 
 
-def _luby_cost(model, schedule, eps_tail, attempt_cap) -> CostEstimate:
-    """Luby by the doubling recursion S_1 = (u), S_{k+1} = S_k S_k u*2**k
-    (Luby, Sinclair and Zuckerman, IPL 47, 1993).  With C_k and Q_k the cost
-    and survival of S_k started fresh, and c and ln q the cost and log
-    survival of the attempt at u*2**k (_group_sum),
-    C_{k+1} = C_k + Q_k (C_k + Q_k c) and ln Q_{k+1} = 2 ln Q_k + ln q.
+def _luby_rounds(model, schedule, attempt_cap):
+    """The rounds of Luby, the runs of the doubling recursion S_1 = (u),
+    S_{k+1} = S_k S_k u*2**k (Luby, Sinclair and Zuckerman, IPL 47, 1993):
+    S_{k+1} = _then(S_k, _then(S_k, peak)), the peak the segment of the
+    attempt at u*2**k, so ln Q_{k+1} = ln Q_k + (ln Q_k + ln q).
 
-    The checks run after each S_k.  In log space only q = 0 is exact zero;
-    a Q_k that underflows ends the scan on the certificate or the cap, as a
+    q never rises with the budget, so an exact zero survival means the
+    peak's q is 0, and its certificate closes the scan with a tail of 0.0.
+    A Q_k that underflows ends the scan on the certificate or the cap, as a
     survival stuck at a subnormal fixed point does in the per-term sum.
-    Survival and the peak's q never rise, so a certificate that holds
+    Since survival and the peak's q never rise, a certificate that holds
     before some attempt holds before every later one: when the cap falls
-    inside S_{k+1}, the first attempt_cap + 1 attempts, whose peak is S_k's,
-    are summed and tried once more before the refusal.
+    inside S_{k+1}, the last round is the first attempt_cap + 1 attempts,
+    whose peak is S_k's.
     """
     unit = dict(schedule.params)["unit"]
-    runs = []  # (C_j, ln Q_j) for j = 1 ... k
-    cost, log_q, attempts = 0.0, 0.0, 0  # C_k, ln Q_k and the 2**k - 1 attempts of S_k
-    q_peak = 1.0  # q at S_k's peak u*2**(k-1)
+    runs = []  # the segments S_1 ... S_k
+    seg, q_peak = _EMPTY, 1.0  # S_k and the q at its peak u*2**(k-1)
     while True:
-        survival = math.exp(log_q)
-        if log_q == -math.inf:
-            return CostEstimate(cost, 0.0, attempts)
-        if survival <= eps_tail and q_peak <= 0.5:
-            return CostEstimate(cost, _luby_tail(unit, attempts, survival, q_peak), attempts)
-        if attempts > attempt_cap:
-            raise TailNotConvergent(
-                f"no tail certificate after {attempts} attempts of schedule {schedule.label}"
-            )
-        if 2 * attempts > attempt_cap:
-            # S_{k+1} passes attempt_cap + 1 attempts.  Every prefix of the
-            # sequence is some S_j followed by a shorter prefix, so the first
-            # attempt_cap + 1 are S_k and whole runs S_j, j <= k, largest first.
-            while attempts <= attempt_cap:
-                j = (attempt_cap + 2 - attempts).bit_length() - 1
-                run_cost, run_log_q = runs[j - 1]
-                cost += math.exp(log_q) * run_cost
-                log_q += run_log_q
-                attempts += (1 << j) - 1
+        yield seg, functools.partial(_luby_tail, unit, seg[0], q_peak)
+        if 2 * seg[0] > attempt_cap:
+            # Every prefix of the sequence is some S_j followed by a shorter
+            # prefix, so the first attempt_cap + 1 attempts are S_k and whole
+            # runs S_j, j <= k, largest first.
+            while seg[0] <= attempt_cap:
+                seg = _then(seg, runs[(attempt_cap + 2 - seg[0]).bit_length() - 2])
             continue
         q_peak, m, p = runtime_stats(model, math.ldexp(unit, len(runs)))
-        peak_cost, log_peak = _group_sum(1, q_peak, m, p)
-        cost += survival * (cost + survival * peak_cost)
-        log_q = 2.0 * log_q + log_peak
-        attempts = 2 * attempts + 1
-        runs.append((cost, log_q))
+        seg = _then(seg, _then(seg, _group_sum(1, q_peak, m, p)))
+        runs.append(seg)
 
 
 def expected_runtime(model: RuntimeModel) -> float:
@@ -351,8 +349,7 @@ def check_block_coverage(dist: DistX, e: float) -> LemmaVerdict:
 def block_success_prob(model: RuntimeModel, e: float) -> float:
     """Probability that one escalation block for bound e completes a run."""
     e = _require_upper_bound(model.dist, e)
-    log_fail = sum(_group_sum(count, *runtime_stats(model, budget))[1]
-                   for count, budget in budget_block(e))
+    *_, (_, log_fail, _) = _fold(functools.partial(runtime_stats, model), budget_block(e))
     return -math.expm1(log_fail)
 
 

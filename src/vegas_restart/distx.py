@@ -481,7 +481,7 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float, float]:
         q += w * math.exp(log_fail)
         m += w * (succ / pg)
         p += w * succ
-    return q, m, p
+    return min(q, 1.0), m, p  # weights that sum to 1 + 1 ulp must not lift q past 1
 
 
 def success_impossible(model: RuntimeModel, b: float) -> bool:

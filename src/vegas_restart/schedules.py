@@ -68,21 +68,6 @@ class Schedule:
             for _ in range(count):
                 yield budget
 
-    def budget(self, i: int) -> float:
-        """The i-th budget, 1-indexed."""
-        i = int(i)
-        if i < 1:
-            raise ValueError(f"budget index is 1-based, got {i}")
-        if self.cycle is not None:
-            cycle_len = sum(c for c, _ in self.cycle)
-            i = (i - 1) % cycle_len + 1
-        seen = 0
-        for count, budget in self.groups():
-            seen += count
-            if i <= seen:
-                return budget
-        raise RuntimeError("unreachable: schedules are infinite")
-
 
 def _checked_exp_budget(t: float) -> float:
     budget = 2.0 * math.exp(t)

@@ -1,6 +1,7 @@
 """Independent brute-force oracles for cross-checking the renewal summation,
 the per-round reference for the oracle's unbounded scans with its plain
-renewal prefix sum, and the grid reference for lemma 3's threshold search.
+renewal prefix sum, the grid reference for lemma 3's threshold search, and
+budget_at, a schedule's i-th budget.
 
 The brute-force oracles enumerate the full outcome tree of a finite attempt
 prefix from first principles (per-atom draws, and per-step coin flips for
@@ -8,13 +9,14 @@ the integer-step law), using no closed-form truncated moments.  Survivors of
 the last attempt contribute their accrued cost.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
 from vegas_restart import distx
-from vegas_restart.analysis import _BLOCK_COST_FACTOR, CostEstimate, TailNotConvergent, _group_sum
+from vegas_restart.analysis import _BLOCK_COST_FACTOR, CostEstimate, TailNotConvergent, _fold
 from vegas_restart.distx import expectation, runtime_stats
 from vegas_restart.schedules import budget_block, luby_value
 
@@ -63,27 +65,29 @@ def brute_cost_geometric(atoms, budgets):
     return rec(0, 0.0, 1.0)
 
 
+def budget_at(schedule, i):
+    """The i-th budget of the schedule, 1-indexed."""
+    return next(itertools.islice(schedule.budgets(), i - 1, None))
+
+
 def group_sum_prefix_cost(model, budgets):
-    """The oracle's group sum (analysis._group_sum) folded over a finite
-    budget prefix, each run of equal budgets one group, with survival in log
-    space as the oracle carries it.  The enumerations above check it."""
-    total, log_survival = 0.0, 0.0
-    for budget, group in itertools.groupby(float(b) for b in budgets):
-        cost, log_group = _group_sum(len(list(group)), *runtime_stats(model, budget))
-        total += math.exp(log_survival) * cost
-        log_survival += log_group
-    return total
+    """The cost of the oracle's segment (analysis._fold) over a finite budget
+    prefix, each run of equal budgets one group.  The enumerations above
+    check it."""
+    groups = [(len(list(group)), budget)
+              for budget, group in itertools.groupby(float(b) for b in budgets)]
+    *_, (_, _, cost) = _fold(functools.partial(runtime_stats, model), groups)
+    return cost
 
 
 # ---------------------------------------------------------------------------
 # Reference for the oracle's unbounded scans: the per-round loop that calls
 # runtime_stats for every group and every certificate try, with the Luby terms
 # taken from luby_value(i), one at a time, and survival a product of q.
-# analysis._universal_cost, which sums a block at a time, and
-# analysis._luby_cost, which sums a run S_k at a time by the doubling
-# recursion, both with survival in log space, must answer or refuse where it
-# does, with the same refusal text and attempt count, and give an enclosure
-# that overlaps its one up to rounding.
+# analysis.analytic_cost's scan loop, fed "universal" a block at a time and
+# Luby a run S_k at a time by the doubling recursion, with survival in log
+# space, must answer or refuse where it does, with the same refusal text and
+# attempt count, and give an enclosure that overlaps its one up to rounding.
 
 
 def _group_partial(q, count, m):

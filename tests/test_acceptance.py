@@ -8,7 +8,12 @@ import time
 
 import numpy as np
 
-from _brute import brute_cost_deterministic, brute_cost_geometric, group_sum_prefix_cost
+from _brute import (
+    brute_cost_deterministic,
+    brute_cost_geometric,
+    budget_at,
+    group_sum_prefix_cost,
+)
 from vegas_restart import analysis, distx, starfn
 from vegas_restart.analysis import (
     ALG1_BOUND_CONSTANT,
@@ -161,7 +166,7 @@ def test_criterion_7_oracle_vs_brute_force():
         (two_point(4.0), [2.0 * math.exp(5.0)] * 5),
         (fixed_t_counterexample(5.0, 5.0), [2.0 * math.exp(5.0)] * 15),
         (variance_counterexample(5.0, 10.0),
-         [universal_schedule().budget(i) for i in range(1, 19)]),
+         [budget_at(universal_schedule(), i) for i in range(1, 19)]),
     ]
     for dist, budgets in det_cases:
         model = RuntimeModel(dist, "deterministic")

@@ -6,13 +6,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _brute
 from _brute import (
     brute_cost_deterministic,
     brute_cost_geometric,
+    budget_at,
     group_sum_prefix_cost,
     reference_scan_cost,
     renewal_partial_cost,
@@ -121,6 +122,11 @@ def test_oracle_luby_exact_when_support_bounded():
         model = RuntimeModel(distx.discrete([[0.0, 0.5], [1.0, 0.5 - 1e-13]]), law)
         est = analytic_cost(model, luby_schedule(1e308), eps_tail=1e-20)
         assert (est.tail_bound, est.attempts_summed) == (0.0, 1)
+    # An exact zero after 2**1431 - 1 attempts, more than a double holds:
+    # the certificate closes it without forming its span.
+    est = analytic_cost(RuntimeModel(constant(300.0), "deterministic"), luby_schedule(1e-300),
+                        attempt_cap=2**2000)
+    assert (est.tail_bound, est.attempts_summed) == (0.0, 2**1431 - 1)
 
 
 def test_oracle_luby_certificate_for_heavy_tail():
@@ -284,12 +290,12 @@ def test_universal_scan_refuses_where_the_blocks_end():
 
 def test_oracle_vs_brute_force_deterministic():
     cases = [
-        (two_point(4.0), [single_threshold_schedule(0.0).budget(1)] * 20),
-        (two_point(4.0), [fixed_schedule(4.0).budget(1)] * 5),
-        (fixed_t_counterexample(5.0, 5.0), [single_threshold_schedule(5.0).budget(1)] * 15),
+        (two_point(4.0), [budget_at(single_threshold_schedule(0.0), 1)] * 20),
+        (two_point(4.0), [budget_at(fixed_schedule(4.0), 1)] * 5),
+        (fixed_t_counterexample(5.0, 5.0), [budget_at(single_threshold_schedule(5.0), 1)] * 15),
         (
             variance_counterexample(5.0, 10.0),
-            [universal_schedule().budget(i) for i in range(1, 19)],
+            [budget_at(universal_schedule(), i) for i in range(1, 19)],
         ),
     ]
     for dist, budgets in cases:
@@ -587,8 +593,11 @@ def test_expected_runtime_helper():
 # time, that value is kept in _PER_TERM_SCAN_PINS.  Where a pin moved when
 # survival went to log space, with ln q = log(q) for q <= 1/2, the value
 # of the scans that multiplied survival by q**count is kept in
-# _Q_PRODUCT_SCAN_PINS.  Each kept value must agree with the pin
-# (_enclosures_agree).
+# _Q_PRODUCT_SCAN_PINS.  Where a Luby pin moved when the doubling step
+# became S_{k+1} = S_k followed by (S_k followed by the peak), which rounds
+# ln Q_k + (ln Q_k + ln q) where 2 ln Q_k + ln q was, the old value is kept
+# in _TWICE_LN_Q_SCAN_PINS.  Each kept value must agree with the pin
+# (_enclosures_agree), and the last two sum the same attempts.
 # The adversarial_density x geometric pins are the closed form's bits.  The
 # values below were scipy.integrate.quad's (epsrel 1e-11) and then a
 # Gauss-Kronrod rule's (the old pins, good to 1e-12); the per-term pins must
@@ -648,6 +657,19 @@ _Q_PRODUCT_SCAN_PINS = {
     ('constant(c=1)|geometric', 'luby(unit=4)'): (2.7182818284590446, 2.809607208027182e-22, 15),
     ('constant(c=5)|geometric', 'luby(unit=4)'): (148.413159102437, 2.5125684180878275e-06, 255),
 }
+_TWICE_LN_Q_SCAN_PINS = {
+    ('two_point(E=4)|geometric', 'luby(unit=1)'): (6.671613793880578, 5.150518441554203e-22, 255),
+    ('two_point(E=4)|geometric', 'luby(unit=4)'): (20.49653615799569, 2.8573827432656585e-12, 127),
+    ('fixed_t_counterexample(E=10,t=20)|geometric', 'luby(unit=4)'): (5.184993298500545, 7.515069545300114e-15, 63),
+    ('fixed_t_counterexample(E=20,t=40)|deterministic', 'luby(unit=1)'): (2.1027781229398177, 9.243004239423021e-15, 63),
+    ('fixed_t_counterexample(E=20,t=40)|deterministic', 'luby(unit=4)'): (5.411112491759268, 3.6972016957692085e-14, 63),
+    ('adversarial_density(E=5)|geometric', 'luby(unit=1)'): (80.1339478260429, 2.0569439348900883e-14, 1023),
+    ('variance_counterexample(E=5,V=10)|deterministic', 'luby(unit=1)'): (487.27381637368853, 1.4689272918373985e-08, 1023),
+    ('variance_counterexample(E=5,V=10)|deterministic', 'luby(unit=4)'): (1039.1918603936153, 6.592639557465339e-07, 255),
+    ('variance_counterexample(E=5,V=10)|geometric', 'luby(unit=4)'): (131.72300957593606, 4.5131390747058246e-07, 255),
+    ('constant(c=1)|geometric', 'luby(unit=4)'): (2.7182818284590446, 2.8096072080704026e-22, 15),
+    ('constant(c=5)|geometric', 'luby(unit=1)'): (148.4131591025765, 9.917515376311414e-09, 1023),
+}
 _SCAN_PINS = [
         (two_point(1.0), "deterministic", universal_schedule(), (4.194528049465325, 0.0, 2)),
         (two_point(1.0), "deterministic", luby_schedule(1.0), (2.165478181643644, 0.0, 15)),
@@ -656,8 +678,8 @@ _SCAN_PINS = [
         (two_point(1.0), "geometric", luby_schedule(1.0), (1.8317346851749587, 4.54188737997302e-11, 31)),
         (two_point(1.0), "geometric", luby_schedule(4.0), (2.998735405870347, 2.2677983305735312e-09, 15)),
         (two_point(4.0), "geometric", universal_schedule(), (118.93052728206129, 0.0, 2)),
-        (two_point(4.0), "geometric", luby_schedule(1.0), (6.671613793880578, 5.150518441554203e-22, 255)),
-        (two_point(4.0), "geometric", luby_schedule(4.0), (20.49653615799569, 2.8573827432656585e-12, 127)),
+        (two_point(4.0), "geometric", luby_schedule(1.0), (6.671613793880578, 5.150518441554129e-22, 255)),
+        (two_point(4.0), "geometric", luby_schedule(4.0), (20.49653615799569, 2.8573827432656795e-12, 127)),
         (fixed_t_counterexample(5.0, 5.0), "geometric", universal_schedule(), (336.35732791061264, 0.0, 2)),
         (fixed_t_counterexample(5.0, 5.0), "geometric", luby_schedule(1.0), (8.704085809953607, 2.2124986990012653e-36, 511)),
         (fixed_t_counterexample(5.0, 5.0), "geometric", luby_schedule(4.0), (29.49892176690886, 4.995498391898239e-06, 127)),
@@ -666,31 +688,31 @@ _SCAN_PINS = [
         (fixed_t_counterexample(5.0, 10.0), "deterministic", luby_schedule(4.0), (4.794427192286727, 7.849747699959217e-06, 31)),
         (fixed_t_counterexample(10.0, 20.0), "geometric", universal_schedule(), (4577211.837505962, 1.6078295891071903e-104, 348)),
         (fixed_t_counterexample(10.0, 20.0), "geometric", luby_schedule(1.0), (2.046248329314774, 1.8787686239862796e-15, 63)),
-        (fixed_t_counterexample(10.0, 20.0), "geometric", luby_schedule(4.0), (5.184993298500545, 7.515069545300114e-15, 63)),
+        (fixed_t_counterexample(10.0, 20.0), "geometric", luby_schedule(4.0), (5.184993298500545, 7.515069545300062e-15, 63)),
         (fixed_t_counterexample(10.0, 20.0), "deterministic", universal_schedule(), (4595899.209794183, 1.8575733867944993e-104, 348)),
         (fixed_t_counterexample(10.0, 20.0), "deterministic", luby_schedule(1.0), (2.046248331274648, 1.8787690365402274e-15, 63)),
         (fixed_t_counterexample(10.0, 20.0), "deterministic", luby_schedule(4.0), (5.184993325098593, 7.51507614616091e-15, 63)),
         (two_point(16.0), "geometric", universal_schedule(), (9261694.228596885, 0.009291079487631835, 348)),
         (fixed_t_counterexample(20.0, 40.0), "deterministic", universal_schedule(), (4745035.986235101, 8.847413043285434e-101, 348)),
-        (fixed_t_counterexample(20.0, 40.0), "deterministic", luby_schedule(1.0), (2.1027781229398177, 9.243004239423021e-15, 63)),
-        (fixed_t_counterexample(20.0, 40.0), "deterministic", luby_schedule(4.0), (5.411112491759268, 3.6972016957692085e-14, 63)),
+        (fixed_t_counterexample(20.0, 40.0), "deterministic", luby_schedule(1.0), (2.1027781229398177, 9.243004239423088e-15, 63)),
+        (fixed_t_counterexample(20.0, 40.0), "deterministic", luby_schedule(4.0), (5.411112491759268, 3.697201695769235e-14, 63)),
         (adversarial_density(5.0), "geometric", universal_schedule(), (202.71439674636753, 0.0, 2)),
-        (adversarial_density(5.0), "geometric", luby_schedule(1.0), (80.1339478260429, 2.0569439348900883e-14, 1023)),
+        (adversarial_density(5.0), "geometric", luby_schedule(1.0), (80.1339478260429, 2.0569439348901028e-14, 1023)),
         (adversarial_density(5.0), "geometric", luby_schedule(4.0), (93.21732879221445, 1.3158822545343059e-08, 255)),
         (variance_counterexample(5.0, 10.0), "deterministic", universal_schedule(), (902.2868901908497, 1.677277102041193e-09, 348)),
-        (variance_counterexample(5.0, 10.0), "deterministic", luby_schedule(1.0), (487.27381637368853, 1.4689272918373985e-08, 1023)),
-        (variance_counterexample(5.0, 10.0), "deterministic", luby_schedule(4.0), (1039.1918603936153, 6.592639557465339e-07, 255)),
+        (variance_counterexample(5.0, 10.0), "deterministic", luby_schedule(1.0), (487.2738163736887, 1.4689272918373985e-08, 1023)),
+        (variance_counterexample(5.0, 10.0), "deterministic", luby_schedule(4.0), (1039.1918603936156, 6.592639557465339e-07, 255)),
         (variance_counterexample(5.0, 10.0), "geometric", universal_schedule(), (902.2867950524263, 4.3538236700626824e-14, 348)),
         (variance_counterexample(5.0, 10.0), "geometric", luby_schedule(1.0), (106.6213042961759, 9.911673509045494e-12, 1023)),
-        (variance_counterexample(5.0, 10.0), "geometric", luby_schedule(4.0), (131.72300957593606, 4.5131390747058246e-07, 255)),
+        (variance_counterexample(5.0, 10.0), "geometric", luby_schedule(4.0), (131.72300957593606, 4.513139074705841e-07, 255)),
         (constant(0.0), "deterministic", universal_schedule(), (1.0, 0.0, 2)),
         (constant(0.0), "deterministic", luby_schedule(1.0), (1.0, 0.0, 1)),
         (constant(0.0), "deterministic", luby_schedule(4.0), (1.0, 0.0, 1)),
         (constant(1.0), "geometric", universal_schedule(), (2.718281828459045, 0.0, 2)),
         (constant(1.0), "geometric", luby_schedule(1.0), (2.7182818284590446, 1.048502550789549e-12, 31)),
-        (constant(1.0), "geometric", luby_schedule(4.0), (2.7182818284590446, 2.8096072080704026e-22, 15)),
+        (constant(1.0), "geometric", luby_schedule(4.0), (2.7182818284590446, 2.809607208070383e-22, 15)),
         (constant(5.0), "geometric", universal_schedule(), (148.4131591025766, 0.0, 2)),
-        (constant(5.0), "geometric", luby_schedule(1.0), (148.4131591025765, 9.917515376311414e-09, 1023)),
+        (constant(5.0), "geometric", luby_schedule(1.0), (148.4131591025765, 9.917515376311346e-09, 1023)),
         (constant(5.0), "geometric", luby_schedule(4.0), (148.413159102437, 2.512568418087836e-06, 255)),
 ]
 
@@ -715,6 +737,9 @@ def test_unbounded_scan_enclosures_are_bit_identical(dist, law, schedule, expect
     q_product = _Q_PRODUCT_SCAN_PINS.get((model.label, schedule.label))
     if q_product is not None:
         assert q_product[2] == got[2] and _enclosures_agree(got, q_product), (got, q_product)
+    twice_ln_q = _TWICE_LN_Q_SCAN_PINS.get((model.label, schedule.label))
+    if twice_ln_q is not None:
+        assert twice_ln_q[2] == got[2] and _enclosures_agree(got, twice_ln_q), (got, twice_ln_q)
     scipy_values = _SCIPY_SCAN_VALUES.get((model.label, schedule.label))
     if scipy_values is not None:
         pinned = per_term or got
@@ -847,9 +872,9 @@ def test_scan_is_bit_identical_at_piece_edges():
 
 
 @st.composite
-def _small_models(draw):
+def _small_models(draw, max_x=8.0):
     n = draw(st.integers(min_value=1, max_value=4))
-    xs = draw(st.lists(st.floats(min_value=0.0, max_value=8.0), min_size=n, max_size=n,
+    xs = draw(st.lists(st.floats(min_value=0.0, max_value=max_x), min_size=n, max_size=n,
                        unique=True))
     weights = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n))
     total = math.fsum(weights)
@@ -867,6 +892,51 @@ def _small_models(draw):
 @settings(max_examples=60, deadline=None)
 def test_unbounded_scan_matches_the_per_round_reference(model, schedule, cap, eps_tail):
     _assert_scan_matches_reference(model, schedule, attempt_cap=cap, eps_tail=eps_tail)
+
+
+def _monotone_budget_grid(dist):
+    """Budgets in increasing order: a sweep of e**(k/4) from e**-2 to e**301;
+    at each atom x, e**x and the doubles either side of it and the whole-step
+    edges floor(e**x) and floor(e**x) + 1; for the density, the doubles
+    either side of e**0 and budgets approaching e**t_max from below."""
+    budgets = {math.exp(k / 4.0) for k in range(-8, 4 * 301 + 1)}
+    if dist.family == "adversarial_density":
+        edges = [1.0, math.exp(distx.support_max(dist))]
+        budgets.update(edges[1] * (1.0 - 2.0**-k) for k in range(1, 54))
+    else:
+        edges = [math.exp(x) for x, _ in dist.atoms]
+        budgets.update(w for b in edges for w in (math.floor(b), math.floor(b) + 1.0) if w > 0.0)
+    budgets.update(w for b in edges for w in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)))
+    return sorted(budgets)
+
+
+def _assert_attempt_statistics_monotone(dist):
+    """runtime_stats' q never rises and p never falls as the budget grows,
+    and a q of 0.0 stays 0.0, under both laws: the Luby and universal
+    certificates assume it, and so does the Luby scan closing an exact zero
+    survival by its certificate."""
+    budgets = _monotone_budget_grid(dist)
+    for law in distx.LAWS:
+        model = RuntimeModel(dist, law)
+        stats = [distx.runtime_stats(model, b)[::2] for b in budgets]
+        for (b0, (q0, p0)), (b1, (q1, p1)) in itertools.pairwise(zip(budgets, stats)):
+            assert q1 <= q0 and p1 >= p0, (model.label, b0, b1, q0, q1, p0, p1)
+            assert q0 != 0.0 or q1 == 0.0, (model.label, b0, b1, q0, q1)
+
+
+def test_attempt_statistics_of_the_zoo_are_monotone_in_the_budget():
+    for dist in zoo_distributions():
+        _assert_attempt_statistics_monotone(dist)
+
+
+# Weights that sum to 1 + 1 ulp: before q was held to 1, the geometric law's
+# q rose from 1 below one whole step to 1.0000000000000002 at one step.
+@given(_small_models(max_x=300.0))
+@example(RuntimeModel(distx.discrete([(37.0, 0.49751243781094534), (38.0, 0.49751243781094534),
+                                      (39.0, 0.0049751243781094535)]), "geometric"))
+@settings(max_examples=100, deadline=None)
+def test_attempt_statistics_of_random_atoms_are_monotone_in_the_budget(model):
+    _assert_attempt_statistics_monotone(model.dist)
 
 
 def _renewal_until_survival(model, schedule, survival_floor=1e-15):
@@ -1002,12 +1072,15 @@ def test_scan_enclosures_nest_as_eps_tail_shrinks(model, schedule):
 
 def test_long_luby_scans_keep_their_results():
     # Both were computed with the per-round loop (about 9 s and 22 s there);
-    # the point moved in its last bits with the doubling recursion.
+    # the point moved in its last bits with the doubling recursion, and again
+    # when ln Q_k + (ln Q_k + ln q) replaced 2 ln Q_k + ln q.  The first ends
+    # on an exact zero survival, which the certificate closes with a tail of 0.
     est = analytic_cost(RuntimeModel(fixed_t_counterexample(10.0, 15.0), "geometric"),
                         luby_schedule(1.0))
     got = (est.expected_cost, est.tail_bound, est.attempts_summed)
-    assert repr(got) == repr((3.104106311949418, 0.0, 4194303))
+    assert repr(got) == repr((3.1041063119494186, 0.0, 4194303))
     assert _enclosures_agree(got, (3.1041063119494163, 0.0, 4194303))
+    assert _enclosures_agree(got, (3.104106311949418, 0.0, 4194303))
     with pytest.raises(TailNotConvergent) as info:
         analytic_cost(RuntimeModel(two_point(16.0), "deterministic"), luby_schedule(1.0))
     assert str(info.value) == "no tail certificate after 10000001 attempts of schedule luby(unit=1)"
@@ -1035,8 +1108,10 @@ def test_luby_keeps_a_success_probability_below_rounding():
 
 
 # The zoo models whose luby(1) scan finds no certificate within the default
-# attempt cap.  Their survival underflows long before the cap, and only exact
-# zero (an attempt with q = 0 or p = 1) may end a scan without a certificate.
+# attempt cap.  Their survival underflows long before the cap, but the
+# certificate needs the peak's q at most 1/2: exact zero (an attempt with
+# q = 0 or p = 1) has it, as q never rises with the budget; an underflow
+# need not.
 _LUBY_DEFAULT_CAP_REFUSALS = (
     "two_point(E=16)|deterministic",
     "two_point(E=16)|geometric",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _brute import budget_at
 from vegas_restart import analysis, distx, engine
 from vegas_restart.distx import RuntimeModel, constant, two_point
 from vegas_restart.engine import (
@@ -139,12 +140,12 @@ def test_report_cost_identity_under_deterministic_law():
         rng = TrialRng(seed=5, trial=trial)
         report = run_with_schedule(proc, sched, rng)
         outcomes = [
-            run_once_truncated(proc, sched.budget(j), rng.attempt(j))
+            run_once_truncated(proc, budget_at(sched, j), rng.attempt(j))
             for j in range(1, report.attempts + 1)
         ]
         assert report.success and outcomes[-1].success
         for j, outcome in enumerate(outcomes[:-1], start=1):
-            assert not outcome.success and outcome.cost == sched.budget(j)
+            assert not outcome.success and outcome.cost == budget_at(sched, j)
         assert report.total_cost == sum(outcome.cost for outcome in outcomes)
 
 
