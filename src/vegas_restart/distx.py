@@ -464,7 +464,7 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float, float]:
             else:
                 q += w
                 m += w * b
-        return q, m, dist.atom_prefixes[1][k]
+        return min(q, 1.0), min(m, b), dist.atom_prefixes[1][k]  # held to 1 and b, as below
 
     # geometric law: the attempt gets floor(b) whole steps
     n = math.floor(b)
@@ -481,7 +481,7 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float, float]:
         q += w * math.exp(log_fail)
         m += w * (succ / pg)
         p += w * succ
-    return min(q, 1.0), m, p  # weights that sum to 1 + 1 ulp must not lift q past 1
+    return min(q, 1.0), min(m, float(n)), p  # weights summing to 1 + 1 ulp must not lift q or m
 
 
 def success_impossible(model: RuntimeModel, b: float) -> bool:

@@ -11,7 +11,10 @@ exist to prove the attempt interface against the sampler algebra.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from . import distx
 from .distx import DistX, RuntimeModel
@@ -251,27 +254,47 @@ def mc_expected_cost(
         raise ValueError(f"need at least 2 trials, got {trials}")
     if on_cap not in ("raise", "count"):
         raise ValueError(f"on_cap must be 'raise' or 'count', got {on_cap!r}")
-    import numpy as np  # its pairwise sums set the mean and SE bits
-
     caps = caps or Caps()
-    costs = np.empty(trials, dtype=np.float64)
-    capped = np.zeros(trials, dtype=bool)
+    costs = array("d")
+    n_capped = 0
     for trial in range(trials):
         try:
             report = run_with_schedule(process, schedule, TrialRng(seed, trial), caps)
-            costs[trial] = report.total_cost
         except CapExceeded as exc:
             if on_cap == "raise":
                 raise
-            costs[trial] = exc.report.total_cost
-            capped[trial] = True
+            report = exc.report
+            n_capped += 1
+        costs.append(report.total_cost)
+    mean, std_error = _mean_and_std_error(costs)
+    return MCEstimate(mean, std_error, trials, int(seed), n_capped)
 
-    mean = float(np.mean(costs))
-    std_error = float(np.std(costs, ddof=1) / math.sqrt(trials))
-    return MCEstimate(
-        mean=mean,
-        std_error=std_error,
-        trials=trials,
-        seed=int(seed),
-        n_capped=int(capped.sum()),
-    )
+
+def _mean_and_std_error(costs: array) -> tuple[float, float]:
+    """np.mean(costs) and np.std(costs, ddof=1) / sqrt(n), bit for bit, n >= 2."""
+    n = len(costs)
+    mean = _pairwise_sum(costs) / n
+    squares = array("d", ((c - mean) * (c - mean) for c in costs))  # d * d: inf, not an error
+    return mean, math.sqrt(_pairwise_sum(squares) / (n - 1)) / math.sqrt(n)
+
+
+def _pairwise_sum(a: array, lo: int = 0, hi: int | None = None) -> float:
+    """Sum of a[lo:hi] in the order of numpy's float64 add.reduce, whose
+    pairwise sums set the MC mean and SE bits, without loading numpy.
+
+    Below 8 terms a left-to-right sum from 0.0; up to 128, eight strided
+    accumulators combined pairwise, then the tail one by one; above 128, two
+    halves split at a multiple of 8 and summed.  Neither sum() (compensated
+    from Python 3.12 on) nor math.fsum (correctly rounded) gives these bits.
+    """
+    hi = len(a) if hi is None else hi
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(a, lo, lo + half) + _pairwise_sum(a, lo + half, hi)
+    if n < 8:
+        return reduce(add, a[lo:hi], 0.0)
+    end = hi - n % 8
+    r = [reduce(add, a[j:end:8]) for j in range(lo, lo + 8)]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, a[end:hi], res)

@@ -1,6 +1,8 @@
-"""Cold start: no subcommand loads scipy, and the oracle (analyze, sweep,
-verify) loads no numpy on any model."""
+"""Cold start: no subcommand loads scipy, the oracle (analyze, sweep,
+verify) loads no numpy on any model, and neither does simulate, whose
+processes are all samplers."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -107,6 +109,43 @@ def test_oracle_on_atom_models_does_not_load_numpy(tmp_path):
     assert len((tmp_path / "sweep1.csv").read_text().splitlines()) == 1 + 16 * 2
     assert len((tmp_path / "sweep2.csv").read_text().splitlines()) == 1 + 6 * 4
     assert len((tmp_path / "v.csv").read_text().splitlines()) == 1 + 462
+
+
+_SIMULATE_WITHOUT_NUMPY = """
+import json, sys
+from pathlib import Path
+from vegas_restart import cli
+tmp = Path(sys.argv[1])
+kinds = [{"kind": k} for k in ("fixed", "two_threshold", "universal")] + [{"kind": "luby", "unit": 1}]
+capped = {"caps": {"max_attempts": 3}, "cap_trip_threshold": 1.0}
+cfg = tmp / "sim.json"
+cfg.write_text(json.dumps([
+    {"distribution": d, "law": law, "schedule": schedule, "mode": "simulate",
+     "trials": 200, "seed": 7, **extra}
+    for d, extra in [({"kind": "two_point", "E": 8}, capped),
+                     ({"kind": "adversarial_density", "E": 5}, {})]
+    for law in ("deterministic", "geometric")
+    for schedule in kinds
+]))
+assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp / "s.csv")]) == 0
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+"""
+
+
+def test_simulate_on_sampler_processes_does_not_load_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIMULATE_WITHOUT_NUMPY, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader((tmp_path / "s.csv").open()))
+    assert len(rows) == 2 * 2 * 4
+    capped = [int(row["n_capped"]) for row in rows if row["family"] == "two_point"]
+    assert len(capped) == 8 and sum(capped) > 0
+    assert all(row["n_capped"] == "0" for row in rows if row["family"] != "two_point")
 
 
 # The three values were scipy.integrate.quad's (epsrel 1e-11), and the old

@@ -344,6 +344,30 @@ def test_runtime_stats_zero_step_budget_geometric():
     assert (q, m) == (1.0, 0.0)
 
 
+# Weights that sum to 1 + 1 ulp in plain addition: unclamped, the
+# deterministic law gave q = 1.0000000000000002 and m = b * (1 + 2**-52) below
+# e**37, and the geometric law m = 1.0000000000000002 at one whole step.
+_PAST_ONE = discrete([(37.0, 0.49751243781094534), (38.0, 0.49751243781094534),
+                      (39.0, 0.0049751243781094535)])
+
+
+def test_runtime_stats_holds_weights_past_one_to_their_bounds():
+    assert 0.49751243781094534 + 0.49751243781094534 + 0.0049751243781094535 > 1.0
+    det, geo = (RuntimeModel(_PAST_ONE, law) for law in ("deterministic", "geometric"))
+    assert repr(runtime_stats(det, 1.5)) == repr((1.0, 1.5, 0.0))
+    assert repr(runtime_stats(det, 1e10)) == repr((1.0, 1e10, 0.0))
+    assert repr(runtime_stats(geo, 1.0)) == repr((1.0, 1.0, 5.812800319385628e-17))
+    assert repr(runtime_stats(geo, 2.5)) == repr((0.9999999999999999, 2.0, 1.1625600638771255e-16))
+    budgets = [math.exp(k / 4.0) for k in range(-8, 4 * 45)]
+    budgets += [w for x in (37.0, 38.0, 39.0) for w in (math.floor(math.exp(x)), math.exp(x))]
+    for model in (det, geo):
+        for b in budgets:
+            q, m, _ = runtime_stats(model, b)
+            effective = b if model.law == "deterministic" else float(math.floor(b))
+            assert 0.0 <= q <= 1.0 and 0.0 <= m <= effective, (model.law, b, q, m)
+            assert type(m) is float
+
+
 def test_expected_runtime_recovered_at_huge_budget():
     for model in zoo_models():
         q, m, _ = runtime_stats(model, 1e300)

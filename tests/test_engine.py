@@ -1,7 +1,11 @@
 import math
+import random
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _brute import budget_at
 from vegas_restart import analysis, distx, engine
@@ -212,6 +216,52 @@ def test_mc_validates_arguments():
         mc_expected_cost(proc, universal_schedule(), trials=1, seed=1)
     with pytest.raises(ValueError):
         mc_expected_cost(proc, universal_schedule(), trials=10, seed=1, on_cap="x")
+
+
+# Lengths about the pairwise sum's edges: below one 8-term block, about its
+# 128-term leaves, about a split whose half is not a multiple of 8, and
+# past a 4096-term half.
+_SUM_LENGTHS = st.one_of(st.integers(0, 9), st.integers(120, 136), st.integers(250, 260),
+                         st.integers(8185, 8200))
+
+
+def _numpy_mean_and_std_error(values):
+    arr = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(arr)), float(np.std(arr, ddof=1) / math.sqrt(len(arr)))
+
+
+@given(
+    n=_SUM_LENGTHS,
+    scale=st.floats(min_value=0.0, max_value=1e300),
+    pool=st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=100_001, scale=1.0, pool=[0.0, 3.0], seed=0)
+@example(n=9, scale=1e300, pool=[1e300], seed=1)
+@settings(max_examples=60, deadline=None)
+def test_pairwise_sum_keeps_numpys_bits(n, scale, pool, seed):
+    # About a quarter of the terms repeat a pool value or are exact zeros;
+    # the rest spread over [0, scale], so that the order of the additions
+    # shows in the last bits; near 1e300 the squared deviations overflow to
+    # inf, as they do in numpy.
+    rng = random.Random(seed)
+    values = array("d", (rng.choice(pool + [0.0]) if rng.random() < 0.25 else rng.random() * scale
+                         for _ in range(n)))
+    assert repr(engine._pairwise_sum(values)) == repr(float(np.add.reduce(np.array(values))))
+    if n >= 2:
+        got = engine._mean_and_std_error(values)
+        assert repr(got) == repr(_numpy_mean_and_std_error(values))
+
+
+@pytest.mark.parametrize("law", distx.LAWS)
+def test_mc_mean_and_std_error_are_numpys_on_the_trial_costs(law):
+    proc = SamplerProcess(RuntimeModel(distx.adversarial_density(5.0), law))
+    sched = universal_schedule()
+    for trials in (8, 129, 2000):
+        est = mc_expected_cost(proc, sched, trials=trials, seed=5)
+        costs = [run_with_schedule(proc, sched, TrialRng(5, i)).total_cost for i in range(trials)]
+        assert repr((est.mean, est.std_error)) == repr(_numpy_mean_and_std_error(costs))
 
 
 def test_default_caps_hint():
