@@ -189,11 +189,12 @@ class TrialRng:
 def run_once_truncated(process, budget: float, rng: CounterStream) -> AttemptOutcome:
     """One truncated attempt with the given budget and its own randomness."""
     budget = float(budget)
-    if budget <= 0.0:
+    if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
     if isinstance(process, SamplerProcess):
         model = process.model
-        effective = budget if model.law == "deterministic" else math.floor(budget)
+        whole = model.law == "geometric" and budget < math.inf
+        effective = math.floor(budget) if whole else budget
         if effective < 1.0 and model.law == "geometric":
             return AttemptOutcome(success=False, cost=0.0)
         t_run = distx.sample_t(model, rng)
@@ -201,6 +202,8 @@ def run_once_truncated(process, budget: float, rng: CounterStream) -> AttemptOut
             return AttemptOutcome(success=True, cost=t_run)
         return AttemptOutcome(success=False, cost=effective)
     if isinstance(process, ResumableProcess):
+        if budget == math.inf:
+            raise ValueError("a stepped attempt needs a finite budget, got inf")
         instance = process.factory(rng)
         done, consumed = instance.advance(int(math.floor(budget)))
         return AttemptOutcome(success=done, cost=float(consumed))
@@ -274,13 +277,13 @@ def _mean_and_std_error(costs: array) -> tuple[float, float]:
     """np.mean(costs) and np.std(costs, ddof=1) / sqrt(n), bit for bit, n >= 2."""
     n = len(costs)
     mean = _pairwise_sum(costs) / n
-    squares = array("d", ((c - mean) * (c - mean) for c in costs))  # d * d: inf, not an error
-    return mean, math.sqrt(_pairwise_sum(squares) / (n - 1)) / math.sqrt(n)
+    return mean, math.sqrt(_pairwise_sum(costs, mean) / (n - 1)) / math.sqrt(n)
 
 
-def _pairwise_sum(a: array, lo: int = 0, hi: int | None = None) -> float:
-    """Sum of a[lo:hi] in the order of numpy's float64 add.reduce, whose
-    pairwise sums set the MC mean and SE bits, without loading numpy.
+def _pairwise_sum(a: array, centre=None, lo: int = 0, hi: int | None = None) -> float:
+    """Sum of a[lo:hi], or of its (c - centre) * (c - centre), which overflow
+    to inf as numpy's squares do, in the order of numpy's float64 add.reduce,
+    whose pairwise sums set the MC mean and SE bits, without loading numpy.
 
     Below 8 terms a left-to-right sum from 0.0; up to 128, eight strided
     accumulators combined pairwise, then the tail one by one; above 128, two
@@ -291,10 +294,11 @@ def _pairwise_sum(a: array, lo: int = 0, hi: int | None = None) -> float:
     n = hi - lo
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(a, lo, lo + half) + _pairwise_sum(a, lo + half, hi)
+        return _pairwise_sum(a, centre, lo, lo + half) + _pairwise_sum(a, centre, lo + half, hi)
+    leaf = a[lo:hi] if centre is None else [(c - centre) * (c - centre) for c in a[lo:hi]]
     if n < 8:
-        return reduce(add, a[lo:hi], 0.0)
-    end = hi - n % 8
-    r = [reduce(add, a[j:end:8]) for j in range(lo, lo + 8)]
+        return reduce(add, leaf, 0.0)
+    end = n - n % 8
+    r = [reduce(add, leaf[j:end:8]) for j in range(8)]
     res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return reduce(add, a[end:hi], res)
+    return reduce(add, leaf[end:], res)

@@ -15,6 +15,9 @@ Cases:
     caps and on_cap="count" that `simulate` uses, x 3 seeds x trial counts at
     the edges of the pairwise summation (below 8, one block of 8, 128, just
     past a split, and past a 4096-term half);
+  - the benchmark's one long pair, variance_counterexample(5, 10) x
+    specific_E(5), at its real 100 000 trials and seed 42, so that every
+    level of the pairwise tree, up to a 49 152-term half, sums real costs;
   - two_point(4) x deterministic x single_threshold(0) at max_attempts 2, so
     that some trials trip the cap and are counted;
   - the two stepped processes, geometric_coin[constant(5)] and
@@ -52,6 +55,8 @@ SAMPLER_PAIRS = (
 SEEDS = (1, 42, 12345)
 TRIALS = (2, 7, 8, 9, 128, 129, 257, 8193)
 STEPPED_TRIALS = (2, 9, 129, 1000)
+LONG_PAIR = SAMPLER_PAIRS[11]
+LONG_TRIALS, LONG_SEED = 100_000, 42
 
 
 def outcome(process, schedule, trials, seed, caps=None, on_cap="raise"):
@@ -59,17 +64,24 @@ def outcome(process, schedule, trials, seed, caps=None, on_cap="raise"):
                                         caps=caps, on_cap=on_cap))
 
 
+def sampler_cases(pair, seeds, trial_counts):
+    """Cases of one SAMPLER_PAIRS entry, with the caps and on_cap of `simulate`."""
+    dist_spec, law, sched_spec = pair
+    dist = distx.build_distribution(dist_spec)
+    sched = schedules.build_schedule(sched_spec, default_ex=distx.expectation(dist))
+    process = engine.SamplerProcess(RuntimeModel(dist, law))
+    caps = engine.default_caps(e_hint=distx.support_max(dist))
+    for seed in seeds:
+        for trials in trial_counts:
+            key = f"{process.label} x {sched.label} x seed={seed} x trials={trials}"
+            yield key, outcome(process, sched, trials, seed, caps, "count")
+
+
 def cases():
     """(key, outcome) of every case, in a fixed order."""
-    for dist_spec, law, sched_spec in SAMPLER_PAIRS:
-        dist = distx.build_distribution(dist_spec)
-        sched = schedules.build_schedule(sched_spec, default_ex=distx.expectation(dist))
-        process = engine.SamplerProcess(RuntimeModel(dist, law))
-        caps = engine.default_caps(e_hint=distx.support_max(dist))
-        for seed in SEEDS:
-            for trials in TRIALS:
-                key = f"{process.label} x {sched.label} x seed={seed} x trials={trials}"
-                yield key, outcome(process, sched, trials, seed, caps, "count")
+    for pair in SAMPLER_PAIRS:
+        yield from sampler_cases(pair, SEEDS, TRIALS)
+    yield from sampler_cases(LONG_PAIR, (LONG_SEED,), (LONG_TRIALS,))
     capped = engine.SamplerProcess(RuntimeModel(distx.two_point(4.0), "deterministic"))
     sched = schedules.single_threshold_schedule(0.0)
     for seed in SEEDS:

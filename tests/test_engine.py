@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -70,6 +71,25 @@ def test_run_once_rejects_nonpositive_budget():
     proc = SamplerProcess(RuntimeModel(constant(0.0), "deterministic"))
     with pytest.raises(ValueError):
         run_once_truncated(proc, 0.0, stream(1))
+
+
+@pytest.mark.parametrize("process", [
+    SamplerProcess(RuntimeModel(constant(1.0), "deterministic")),
+    SamplerProcess(RuntimeModel(constant(1.0), "geometric")),
+    geometric_coin_process(constant(1.0)),
+], ids=lambda p: p.label)
+def test_run_once_takes_nan_and_infinite_budgets_by_process_kind(process):
+    # NaN fails "budget > 0" as well as "budget <= 0", so it needs the
+    # negated test.  A sampler attempt with an infinite budget runs to its
+    # end; a stepped one cannot, and says so instead of failing in floor().
+    with pytest.raises(ValueError, match="budget must be positive"):
+        run_once_truncated(process, math.nan, stream(1))
+    if isinstance(process, SamplerProcess):
+        out = run_once_truncated(process, math.inf, stream(1))
+        assert out.success and out.cost == distx.sample_t(process.model, stream(1))
+    else:
+        with pytest.raises(ValueError, match="finite budget"):
+            run_once_truncated(process, math.inf, stream(1))
 
 
 def test_run_once_geometric_uses_whole_steps():
@@ -239,6 +259,7 @@ def _numpy_mean_and_std_error(values):
 )
 @example(n=100_001, scale=1.0, pool=[0.0, 3.0], seed=0)
 @example(n=9, scale=1e300, pool=[1e300], seed=1)
+@example(n=100_001, scale=1e300, pool=[1e300], seed=2)
 @settings(max_examples=60, deadline=None)
 def test_pairwise_sum_keeps_numpys_bits(n, scale, pool, seed):
     # About a quarter of the terms repeat a pool value or are exact zeros;
@@ -248,10 +269,28 @@ def test_pairwise_sum_keeps_numpys_bits(n, scale, pool, seed):
     rng = random.Random(seed)
     values = array("d", (rng.choice(pool + [0.0]) if rng.random() < 0.25 else rng.random() * scale
                          for _ in range(n)))
-    assert repr(engine._pairwise_sum(values)) == repr(float(np.add.reduce(np.array(values))))
+    arr = np.array(values)
+    assert repr(engine._pairwise_sum(values)) == repr(float(np.add.reduce(arr)))
+    centre = float(np.add.reduce(arr)) / n if n else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = float(np.add.reduce((arr - centre) * (arr - centre)))
+    assert repr(engine._pairwise_sum(values, centre)) == repr(centred)
     if n >= 2:
         got = engine._mean_and_std_error(values)
         assert repr(got) == repr(_numpy_mean_and_std_error(values))
+
+
+def test_std_error_makes_no_per_trial_array():
+    # The squared deviations are summed one leaf of at most 128 terms at a
+    # time; an n-length array of them would take 800 KB here.
+    costs = array("d", (float(i % 97) for i in range(100_000)))
+    tracemalloc.start()
+    try:
+        engine._mean_and_std_error(costs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("law", distx.LAWS)
