@@ -308,7 +308,7 @@ def expectation_exp(dist: DistX) -> float:
 
 
 def sample_x(dist: DistX, rng) -> float:
-    """One draw of X; rng needs a numpy-Generator-style random() method."""
+    """One draw of X; rng needs a random() method returning a float in [0, 1)."""
     if dist.family == "adversarial_density":
         a, _ = _adv_consts(dist)
         u = 1.0 - rng.random()  # in (0, 1]

@@ -21,8 +21,6 @@ from .distx import DistX, RuntimeModel
 from .schedules import Schedule
 from .streams import CounterStream, stream_key
 
-_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class Caps:
@@ -104,30 +102,20 @@ class ResumableProcess:
     label: str = "resumable"
 
 
-def _first_hit(rng: CounterStream, n: int, hit) -> tuple[bool, int]:
-    """Draw one uniform per step, in chunks of _CHUNK, until hit(draw) holds or
-    n steps are spent; returns (done, steps consumed)."""
-    n = int(n)
-    for start in range(0, n, _CHUNK):
-        hits = hit(rng.random(min(_CHUNK, n - start)))
-        if hits.any():
-            return True, start + int(hits.argmax()) + 1
-    return False, max(n, 0)
-
-
 class GeometricCoinRun:
     """Stepped run that succeeds each step with probability exp(-X).
 
-    X is drawn once at instance creation, so a sequence of fresh instances
-    realizes the memoryless runtime law as an actual computation.
+    X is drawn once per instance, so fresh instances realize the memoryless
+    runtime law.  A step succeeds when its draw u is below p = exp(-X), with
+    probability ceil(p * 2**53) / 2**53: p at the draw's resolution.
     """
 
     def __init__(self, dist: DistX, rng: CounterStream):
-        self._p = math.exp(-distx.sample_x(dist, rng))
+        self._hi = math.ceil(math.ldexp(math.exp(-distx.sample_x(dist, rng)), 53))
         self._rng = rng
 
     def advance(self, n: int) -> tuple[bool, int]:
-        return _first_hit(self._rng, n, lambda u: u < self._p)
+        return self._rng.first_in(n, 0, self._hi)
 
 
 def geometric_coin_process(dist: DistX) -> ResumableProcess:
@@ -141,30 +129,36 @@ class BitstringGuessRun:
     """Guesses a planted k-bit string uniformly once per step.
 
     A genuine always-correct randomized search; per-step success probability
-    is 2**-k, so X is identically k*ln(2).
+    is 2**-k, so X is identically k*ln(2).  A guess is the top k of 53 bits.
     """
 
     def __init__(self, k: int, rng: CounterStream):
-        self._space = 1 << int(k)
-        self._target = int(rng.random() * self._space)
+        shift = 53 - k
+        self._lo = int(rng.random() * (1 << k)) << shift
+        self._hi = self._lo + (1 << shift)
         self._rng = rng
 
     def advance(self, n: int) -> tuple[bool, int]:
-        return _first_hit(
-            self._rng, n, lambda u: (u * self._space).astype("int64") == self._target
-        )
+        return self._rng.first_in(n, self._lo, self._hi)
+
+
+def _guess_bits(k: int) -> int:
+    if not 0 <= int(k) <= 53:
+        raise ValueError(f"bitstring_guess needs k in 0..53, the bits of one draw, got {k!r}")
+    return int(k)
 
 
 def bitstring_guess_process(k: int) -> ResumableProcess:
+    k = _guess_bits(k)
     return ResumableProcess(
         factory=lambda rng: BitstringGuessRun(k, rng),
-        label=f"bitstring_guess[k={int(k)}]",
+        label=f"bitstring_guess[k={k}]",
     )
 
 
 def bitstring_guess_model(k: int) -> RuntimeModel:
     """The runtime model matching bitstring_guess_process(k): X = k*ln(2)."""
-    return RuntimeModel(distx.constant(int(k) * math.log(2.0)), "geometric")
+    return RuntimeModel(distx.constant(_guess_bits(k) * math.log(2.0)), "geometric")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ construction used by splittable PRNGs.
 
 from __future__ import annotations
 
+import functools
+
 _MASK = (1 << 64) - 1
+_CHUNK = 1024  # most draws first_in() mixes at once
 _GOLDEN = 0x9E3779B97F4A7C15
 _MULT_A = 0xBF58476D1CE4E5B9
 _MULT_B = 0x94D049BB133111EB
@@ -34,11 +37,9 @@ def stream_key(*words: int) -> int:
 
 
 class CounterStream:
-    """Stateless-in-principle uniform stream: draw i is mix64(key + (i+1)*GOLDEN).
-
-    Exposes the small slice of the numpy Generator API the library needs:
-    random() for a float64 in [0, 1), random(n) for a vector of them.
-    """
+    """Stateless-in-principle uniform stream: draw i = 1, 2, ... is
+    mix64(key + i*GOLDEN).  random() returns the next draw as a float64 in
+    [0, 1); first_in() scans the next draws for one in an integer range."""
 
     __slots__ = ("key", "_i")
 
@@ -46,18 +47,48 @@ class CounterStream:
         self.key = key & _MASK
         self._i = 0
 
-    def random(self, size: int | None = None):
-        if size is None:
-            self._i += 1
-            return (mix64((self.key + self._i * _GOLDEN) & _MASK) >> 11) * 2.0**-53
-        import numpy as np  # once per vector of draws
+    def random(self) -> float:
+        self._i += 1
+        return (mix64((self.key + self._i * _GOLDEN) & _MASK) >> 11) * 2.0**-53
 
-        start = self._i
-        self._i += int(size)
-        idx = np.arange(start + 1, start + size + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            z = np.uint64(self.key) + idx * np.uint64(_GOLDEN)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MULT_A)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MULT_B)
-            z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    def first_in(self, n: int, lo: int, hi: int) -> tuple[bool, int]:
+        """(done, draws used) for the first of up to n draws whose v = draw >> 11
+        (random() is v * 2**-53) has lo <= v < hi.  The stream moves past the
+        hit, or past all n draws on a miss.
+
+        Draws are mixed up to _CHUNK at a time in the 128-bit lanes of one
+        int, where no 64-bit product spills into the next lane; v < hi and
+        v >= lo are the carries into bit 64 of (2**64 - 1 - z) + hi*2**11 and
+        z + 2**64 - lo*2**11."""
+        n, start, m, last = max(int(n), 0), self._i, 64, 0
+        lo, hi = min(max(lo, 0), 1 << 53), min(max(hi, 0), 1 << 53)
+        while self._i - start < n:
+            r = min(m, n - (self._i - start))
+            if r == last:  # another full chunk as wide: step the Weyl lanes
+                w = (w + step) & low
+            else:
+                ones, ramp, low, bit64, step = _lanes(1 << (r - 1).bit_length())
+                w = (ramp + ones * ((self.key + self._i * _GOLDEN) & _MASK)) & low
+                below_hi, from_lo = ones * (hi << 11), ones * (2**64 - (lo << 11)) if lo else 0
+            z = ((w ^ (w >> 30)) & low) * _MULT_A & low
+            z = ((z ^ (z >> 27)) & low) * _MULT_B & low
+            z ^= z >> 31
+            h = ((z ^ low) + below_hi) & bit64
+            if h and lo:
+                h &= z + from_lo
+            j = ((h & -h).bit_length() - 65) >> 7  # -1 when no lane hit
+            if 0 <= j < r:
+                self._i += j + 1
+                return True, self._i - start
+            self._i += r
+            last, m = r, min(2 * m, _CHUNK)
+        return False, n
+
+
+@functools.lru_cache(maxsize=None)
+def _lanes(m: int) -> tuple[int, int, int, int, int]:
+    """Per 128-bit lane j < m: 1, (j+1)*GOLDEN % 2**64, 2**64 - 1, 2**64, m*GOLDEN % 2**64."""
+    ones = int.from_bytes(bytes([1] + [0] * 15) * m, "little")
+    ramp = int.from_bytes(b"".join((j * _GOLDEN & _MASK).to_bytes(16, "little")
+                                   for j in range(1, m + 1)), "little")
+    return ones, ramp, ones * _MASK, ones << 64, ones * (m * _GOLDEN & _MASK)

@@ -21,7 +21,11 @@ Cases:
   - two_point(4) x deterministic x single_threshold(0) at max_attempts 2, so
     that some trials trip the cap and are counted;
   - the two stepped processes, geometric_coin[constant(5)] and
-    bitstring_guess[k=12], on their fixed schedules.
+    bitstring_guess[k=12], on their fixed schedules, and on single budgets
+    of 1, 63, 65 and 4097 steps, so that an attempt ends before, at and past
+    the edges of a vector of draws;
+  - demo's two pairs: geometric_coin[constant(ln 2)] x single_threshold(ln 3)
+    and bitstring_guess[k=8] x single_threshold(ln 300).
 
 The leading underscore keeps pytest from collecting this file.
 """
@@ -55,6 +59,7 @@ SAMPLER_PAIRS = (
 SEEDS = (1, 42, 12345)
 TRIALS = (2, 7, 8, 9, 128, 129, 257, 8193)
 STEPPED_TRIALS = (2, 9, 129, 1000)
+STEPPED_BUDGETS, BUDGET_TRIALS = (1, 63, 65, 4097), (2, 9, 129)
 LONG_PAIR = SAMPLER_PAIRS[11]
 LONG_TRIALS, LONG_SEED = 100_000, 42
 
@@ -91,12 +96,22 @@ def cases():
         (engine.geometric_coin_process(distx.constant(5.0)), 5.0),
         (engine.bitstring_guess_process(12), 12 * math.log(2.0)),
     )
-    for process, ex in stepped:
-        sched = schedules.fixed_schedule(ex)
-        for seed in SEEDS:
-            for trials in STEPPED_TRIALS:
-                key = f"{process.label} x {sched.label} x seed={seed} x trials={trials}"
-                yield key, outcome(process, sched, trials, seed)
+    single_budgets = [(schedules.Schedule("budget", (("b", b),), ((1, float(b)),)), BUDGET_TRIALS)
+                      for b in STEPPED_BUDGETS]
+    demo = (
+        (engine.geometric_coin_process(distx.constant(math.log(2.0))), math.log(3.0)),
+        (engine.bitstring_guess_process(8), math.log(300.0)),
+    )
+    runs = [(process, [(schedules.fixed_schedule(ex), STEPPED_TRIALS)] + single_budgets)
+            for process, ex in stepped]
+    runs += [(process, [(schedules.single_threshold_schedule(t), STEPPED_TRIALS)])
+             for process, t in demo]
+    for process, scheds in runs:
+        for sched, trial_counts in scheds:
+            for seed in SEEDS:
+                for trials in trial_counts:
+                    key = f"{process.label} x {sched.label} x seed={seed} x trials={trials}"
+                    yield key, outcome(process, sched, trials, seed)
 
 
 def compare(old, new):

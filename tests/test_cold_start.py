@@ -1,6 +1,7 @@
-"""Cold start: no subcommand loads scipy, the oracle (analyze, sweep,
-verify) loads no numpy on any model, and neither does simulate, whose
-processes are all samplers."""
+"""Cold start: no subcommand loads scipy, and none loads numpy: the oracle
+(analyze, sweep, verify) on any model, simulate, whose processes are all
+samplers, and demo and Monte Carlo on the stepped processes all run with
+numpy blocked."""
 
 import csv
 import os
@@ -146,6 +147,49 @@ def test_simulate_on_sampler_processes_does_not_load_numpy(tmp_path):
     capped = [int(row["n_capped"]) for row in rows if row["family"] == "two_point"]
     assert len(capped) == 8 and sum(capped) > 0
     assert all(row["n_capped"] == "0" for row in rows if row["family"] != "two_point")
+
+
+_EVERYTHING_WITH_NUMPY_BLOCKED = """
+import json, math, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from pathlib import Path
+from vegas_restart import cli, distx, engine, schedules
+tmp = Path(sys.argv[1])
+cfg = tmp / "cfg.json"
+cfg.write_text(json.dumps([
+    {"distribution": d, "law": law, "schedule": {"kind": k}, "trials": 200, "seed": 3}
+    for d in ({"kind": "two_point", "E": 6}, {"kind": "adversarial_density", "E": 5})
+    for law in ("deterministic", "geometric")
+    for k in ("two_threshold", "universal")
+]))
+assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp / "a.csv")]) == 0
+assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp / "s.csv")]) == 0
+assert cli.main(["sweep", "--family", "two_point", "--e-start", "5", "--e-stop", "8",
+                 "--schedules", "fixed,universal", "--out", str(tmp / "w.csv")]) == 0
+assert cli.main(["verify", "--scope", "all", "--out", str(tmp / "v.csv")]) == 0
+assert cli.main(["demo", "--trials", "300", "--seed", "4"]) == 0
+for process, ex in ((engine.geometric_coin_process(distx.constant(5.0)), 5.0),
+                    (engine.bitstring_guess_process(12), 12 * math.log(2.0))):
+    est = engine.mc_expected_cost(process, schedules.fixed_schedule(ex), trials=50, seed=8)
+    print(process.label, est.mean > 0.0)
+"""
+
+
+def test_every_subcommand_and_stepped_mc_run_with_numpy_blocked(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVERYTHING_WITH_NUMPY_BLOCKED, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("-> PASS") == 2
+    assert "geometric_coin[constant(c=5)] True" in proc.stdout
+    assert "bitstring_guess[k=12] True" in proc.stdout
+    assert len((tmp_path / "a.csv").read_text().splitlines()) == 1 + 8
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 8
+    assert len((tmp_path / "v.csv").read_text().splitlines()) == 1 + 462
 
 
 # The three values were scipy.integrate.quad's (epsrel 1e-11), and the old

@@ -46,13 +46,105 @@ def test_streams_are_reproducible_and_distinct():
     assert [a.random() for _ in range(8)] == [b.random() for _ in range(8)]
     c = stream(42, 0, 2)
     assert a.key != c.key
-    vec = stream(7).random(1000)
-    assert vec.shape == (1000,)
-    assert ((0.0 <= vec) & (vec < 1.0)).all()
+    draws = [stream(7).random() for _ in range(1000)]
+    assert all(0.0 <= u < 1.0 for u in draws)
     s = stream(9)
     scalar_first = [s.random() for _ in range(4)]
+    v = int(scalar_first[2] * 2.0**53)
+    assert stream(9).first_in(4, v, v + 1) == (True, 3)
     s2 = stream(9)
-    assert np.allclose(s2.random(4), scalar_first)
+    assert s2.first_in(4, 0, 0) == (False, 4)  # a miss moves past the four draws
+    assert [s2.random() for _ in range(4)] == [s.random() for _ in range(4)]
+
+
+# Scan lengths at the edges of first_in's chunks of 64, 128, ..., 1024 draws
+# (cumulative 64, 192, 448, 960, then every 1024: 1984, ..., 4032, 8128), at
+# the 4096-draw edges of earlier versions, and past them to the 22268 steps of
+# bitstring_guess[k=12]'s fixed schedule.
+_SCAN_LENGTHS = (0, 1, 63, 64, 65, 959, 960, 961, 1984, 4095, 4096, 4097, 8127, 8128, 8129,
+                 22268)
+
+
+@st.composite
+def _v_ranges(draw):
+    """A range [lo, hi) of 53-bit draw integers: below a bound, an aligned
+    k-bit guess, every draw from lo on, or empty."""
+    kind = draw(st.sampled_from(("below", "aligned", "to_top", "empty")))
+    # rates near 2**-8 .. 2**-14 put hits deep in long scans
+    shift = draw(st.one_of(st.integers(8, 14), st.integers(0, 53)))
+    if kind == "below":
+        return 0, draw(st.integers(0, 2**53)) >> shift
+    if kind == "aligned":
+        k = shift
+        t = draw(st.integers(0, 2**k - 1))
+        return t << (53 - k), (t + 1) << (53 - k)
+    lo = draw(st.integers(0, 2**53))
+    return (lo, 2**53) if kind == "to_top" else (lo, lo)
+
+
+def _scalar_first_in(s, n, lo, hi):
+    for used in range(1, n + 1):
+        if lo <= int(s.random() * 2.0**53) < hi:
+            return True, used
+    return False, n
+
+
+@given(
+    key=st.integers(0, 2**64 - 1),
+    skip=st.integers(0, 3),
+    n=st.sampled_from(_SCAN_LENGTHS),
+    v_range=_v_ranges(),
+)
+@example(key=0, skip=0, n=22268, v_range=(0, 0))
+@example(key=2**64 - 1, skip=1, n=22268, v_range=(3 << 40, 4 << 40))
+@settings(max_examples=150, deadline=None)
+def test_first_in_is_a_scan_of_scalar_draws(key, skip, n, v_range):
+    lo, hi = v_range
+    fast, slow = CounterStream(key), CounterStream(key)
+    for _ in range(skip):
+        assert fast.random() == slow.random()
+    assert fast.first_in(n, lo, hi) == _scalar_first_in(slow, n, lo, hi)
+    # the stream stands just past the hit, or past all n draws on a miss
+    assert [fast.random() for _ in range(3)] == [slow.random() for _ in range(3)]
+
+
+@given(
+    key=st.integers(0, 2**64 - 1),
+    a=st.sampled_from(_SCAN_LENGTHS),
+    b=st.sampled_from(_SCAN_LENGTHS),
+    v_range=_v_ranges(),
+)
+@settings(max_examples=80, deadline=None)
+def test_first_in_split_scans_use_the_draws_of_one(key, a, b, v_range):
+    lo, hi = v_range
+    split, whole = CounterStream(key), CounterStream(key)
+    done, used = split.first_in(a, lo, hi)
+    if not done:
+        assert used == a
+        done, used_b = split.first_in(b, lo, hi)
+        used += used_b
+    assert (done, used) == whole.first_in(a + b, lo, hi)
+    assert split.random() == whole.random()
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 63, 64, 100, 191, 192, 959, 960, 1983, 2500, 3500, 5000])
+def test_first_in_range_ends_are_exact(j):
+    # Ranges that start or end at the integer of draw j + 1, the last of the
+    # scan, at chunk edges, inside a stepped chunk and in a chunk's unused
+    # lanes: lo is inside the range, hi outside it, and draw j + 2 is past n.
+    s = stream(21, j)
+    vs = [int(s.random() * 2.0**53) for _ in range(j + 2)]
+    v, past = vs[j], vs[j + 1]
+    for lo, hi in ((v, v + 1), (v, 2**53), (0, v + 1), (0, v), (v + 1, 2**53), (past, past + 1)):
+        want = next((i + 1 for i, u in enumerate(vs[: j + 1]) if lo <= u < hi), None)
+        got = stream(21, j).first_in(j + 1, lo, hi)
+        assert got == ((True, want) if want else (False, j + 1)), (lo, hi)
+
+
+def test_first_in_clamps_its_range_to_the_draws():
+    assert stream(3).first_in(5, -7, 2**60) == (True, 1)
+    assert stream(3).first_in(5, 2**60, 2**61) == (False, 5)
+    assert stream(3).first_in(-2, 0, 2**53) == (False, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +422,22 @@ def test_bitstring_guesser_reproduces_oracle():
     assert oracle.expected_cost == pytest.approx(8.0, rel=1e-9)
     est = mc_expected_cost(bitstring_guess_process(k), sched, trials=30_000, seed=3)
     assert abs(est.mean - oracle.expected_cost) <= 5.0 * est.std_error
+
+
+@pytest.mark.parametrize("k", [-1, 54, 64, 80])
+def test_bitstring_guess_refuses_k_past_one_draw(k):
+    # int(u * 2**k) takes only 2**53 values, so k > 53 would not succeed 2**-k
+    # of the time, as the model says; a negative k would be a shift error.
+    for build in (bitstring_guess_process, bitstring_guess_model):
+        with pytest.raises(ValueError, match=r"k in 0\.\.53"):
+            build(k)
+
+
+def test_bitstring_guess_at_the_ends_of_k():
+    assert run_once_truncated(bitstring_guess_process(0), 5.0, stream(1)).cost == 1.0
+    assert bitstring_guess_model(53).dist.atoms[0][0] == 53 * math.log(2.0)
+    out = run_once_truncated(bitstring_guess_process(53), 1000.0, stream(1))
+    assert (out.success, out.cost) == (False, 1000.0)
 
 
 def test_resumable_consumes_at_most_budget():
