@@ -255,7 +255,7 @@ def _threshold_candidates(dist: DistX, t_lo: float, t_hi: float) -> list[float]:
     function rises with t; the density's t - ln(a * expm1(t)) falls up to
     t_max, and past t_max Pr(X < t) = 1."""
     delta = 1e-9 * (1.0 + expectation(dist))
-    if dist.family == "adversarial_density":
+    if dist.kind == "adversarial_density":
         t_max = distx.support_max(dist)
         knots = [t_lo, t_hi, delta, t_max - delta, t_max, t_max + delta]
     else:

@@ -18,7 +18,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import analysis, distx, engine, schedules, verify
 from .analysis import TailNotConvergent, analytic_cost
@@ -68,18 +68,6 @@ VERIFY_COLUMNS = ["scope", "name", "holds", "margin", "detail"]
 # 2-vCPU host.
 MAX_SWEEP_POINTS = 100_000
 
-_CONFIG_FIELDS = {
-    "distribution",
-    "law",
-    "schedule",
-    "mode",
-    "trials",
-    "seed",
-    "eps_tail",
-    "caps",
-    "cap_trip_threshold",
-}
-_CAPS_FIELDS = {"max_attempts", "max_total_cost"}
 _MODES = ("analyze", "simulate", "both")
 
 
@@ -98,6 +86,10 @@ class ExperimentConfig:
     eps_tail: float = 1e-10
     caps: Caps | None = None
     cap_trip_threshold: float = 0.0
+
+
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+_CAPS_FIELDS = {f.name for f in fields(Caps)}
 
 
 def _number(obj: dict, name: str, convert, default):
@@ -466,19 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", default="csv", choices=("csv", "jsonl"))
 
-    p = sub.add_parser("analyze", help="exact expected-cost oracle plus checkers")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    add_io(p)
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("simulate", help="Monte Carlo expected cost")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    add_io(p)
-    p.set_defaults(fn=cmd_simulate)
+    for name, fn, help_text in (
+        ("analyze", cmd_analyze, "exact expected-cost oracle plus checkers"),
+        ("simulate", cmd_simulate, "Monte Carlo expected cost"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--trials", type=int, default=None)
+        add_io(p)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("verify", help="zoo-wide verification suite")
     p.add_argument("--scope", default="all", choices=verify.SCOPES)

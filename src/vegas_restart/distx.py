@@ -32,12 +32,11 @@ LAWS = ("deterministic", "geometric")
 class DistX:
     """A distribution of X: discrete atoms or the truncated-exponential density.
 
-    family "discrete"/"constant": atoms is a sorted tuple of (x, p) pairs.
-    family "adversarial_density": density exp(x - (E+1)) on
+    kind "adversarial_density": density exp(x - (E+1)) on
     [0, E + 1 + ln(1 + exp(-(E+1)))], total mass exactly 1.
+    Every other kind: atoms is a sorted tuple of (x, p) pairs.
     """
 
-    family: str
     kind: str
     params: tuple[tuple[str, float], ...] = ()
     atoms: tuple[tuple[float, float], ...] = ()
@@ -109,7 +108,7 @@ def discrete(atoms) -> DistX:
     """Discrete distribution from (x, p) pairs; probabilities must sum to 1."""
     clean = _validate_atoms(atoms)
     params = tuple((f"x{i}", x) for i, (x, _) in enumerate(clean))
-    return DistX(family="discrete", kind="discrete", params=params, atoms=clean)
+    return DistX(kind="discrete", params=params, atoms=clean)
 
 
 def constant(c: float) -> DistX:
@@ -117,7 +116,7 @@ def constant(c: float) -> DistX:
     c = float(c)
     if not math.isfinite(c) or c < 0.0 or c > MAX_SUPPORT_LOG:
         raise ValueError(f"constant value must lie in [0, {MAX_SUPPORT_LOG}], got {c!r}")
-    return DistX(family="constant", kind="constant", params=(("c", c),), atoms=((c, 1.0),))
+    return DistX(kind="constant", params=(("c", c),), atoms=((c, 1.0),))
 
 
 def two_point(E: float) -> DistX:
@@ -131,7 +130,7 @@ def two_point(E: float) -> DistX:
         raise ValueError(f"two_point requires 0 < E <= {MAX_SUPPORT_LOG - 1}, got {E!r}")
     p0 = 1.0 / (E + 1.0)
     atoms = ((0.0, p0), (E + 1.0, 1.0 - p0))
-    return DistX(family="discrete", kind="two_point", params=(("E", E),), atoms=atoms)
+    return DistX(kind="two_point", params=(("E", E),), atoms=atoms)
 
 
 def fixed_t_counterexample(E: float, t: float) -> DistX:
@@ -149,12 +148,7 @@ def fixed_t_counterexample(E: float, t: float) -> DistX:
         raise ValueError(f"t+1 exceeds the range guard {MAX_SUPPORT_LOG}")
     p_hi = E / (t + 1.0)
     atoms = ((0.0, 1.0 - p_hi), (t + 1.0, p_hi))
-    return DistX(
-        family="discrete",
-        kind="fixed_t_counterexample",
-        params=(("E", E), ("t", t)),
-        atoms=atoms,
-    )
+    return DistX(kind="fixed_t_counterexample", params=(("E", E), ("t", t)), atoms=atoms)
 
 
 def adversarial_density(E: float) -> DistX:
@@ -167,7 +161,7 @@ def adversarial_density(E: float) -> DistX:
     E = float(E)
     if not (0.0 < E <= MAX_SUPPORT_LOG):
         raise ValueError(f"adversarial_density requires 0 < E <= {MAX_SUPPORT_LOG}, got {E!r}")
-    return DistX(family="adversarial_density", kind="adversarial_density", params=(("E", E),), E=E)
+    return DistX(kind="adversarial_density", params=(("E", E),), E=E)
 
 
 def variance_counterexample(E: float, V: float) -> DistX:
@@ -192,14 +186,20 @@ def variance_counterexample(E: float, V: float) -> DistX:
         raise ValueError(f"top atom {x_top} exceeds the range guard {MAX_SUPPORT_LOG}")
     atoms = _validate_atoms([(0.0, w), (E, p_mid), (x_top, p_top)])
     return DistX(
-        family="discrete",
-        kind="variance_counterexample",
-        params=(("E", E), ("V", V)),
-        atoms=atoms,
+        kind="variance_counterexample", params=(("E", E), ("V", V)), atoms=atoms
     )
 
 
-_SPEC_FIELDS = {"kind", "E", "t", "V", "c", "atoms"}
+# Each spec kind: its constructor and the fields it takes, in argument order.
+_SPEC_KINDS = {
+    "two_point": (two_point, ("E",)),
+    "fixed_t_counterexample": (fixed_t_counterexample, ("E", "t")),
+    "adversarial_density": (adversarial_density, ("E",)),
+    "variance_counterexample": (variance_counterexample, ("E", "V")),
+    "constant": (constant, ("c",)),
+    "discrete": (discrete, ("atoms",)),
+}
+_SPEC_FIELDS = {"kind"}.union(*(names for _, names in _SPEC_KINDS.values()))
 
 
 def build_distribution(spec: dict) -> DistX:
@@ -207,7 +207,8 @@ def build_distribution(spec: dict) -> DistX:
 
     Recognized kinds: two_point(E), fixed_t_counterexample(E, t),
     adversarial_density(E), variance_counterexample(E, V), constant(c),
-    discrete(atoms).  Unknown fields are rejected.
+    discrete(atoms).  Unknown fields and values of the wrong type are
+    rejected with ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"distribution spec must be a dict, got {type(spec).__name__}")
@@ -215,36 +216,20 @@ def build_distribution(spec: dict) -> DistX:
     if unknown:
         raise ValueError(f"unknown distribution spec fields: {sorted(unknown)}")
     kind = spec.get("kind")
-
-    def need(*names):
-        missing = [n for n in names if n not in spec]
-        extra = [n for n in _SPEC_FIELDS - {"kind"} if n in spec and n not in names]
-        if missing or extra:
-            raise ValueError(
-                f"distribution kind {kind!r} takes exactly fields {list(names)}; "
-                f"missing {missing}, unexpected {extra}"
-            )
-        return [spec[n] for n in names]
-
-    if kind == "two_point":
-        (e,) = need("E")
-        return two_point(e)
-    if kind == "fixed_t_counterexample":
-        e, t = need("E", "t")
-        return fixed_t_counterexample(e, t)
-    if kind == "adversarial_density":
-        (e,) = need("E")
-        return adversarial_density(e)
-    if kind == "variance_counterexample":
-        e, v = need("E", "V")
-        return variance_counterexample(e, v)
-    if kind == "constant":
-        (c,) = need("c")
-        return constant(c)
-    if kind == "discrete":
-        (atoms,) = need("atoms")
-        return discrete(atoms)
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    make, names = _SPEC_KINDS[kind]
+    missing = [n for n in names if n not in spec]
+    extra = sorted(set(spec) - {"kind", *names})
+    if missing or extra:
+        raise ValueError(
+            f"distribution kind {kind!r} takes exactly fields {list(names)}; "
+            f"missing {missing}, unexpected {extra}"
+        )
+    try:
+        return make(*(spec[n] for n in names))
+    except (TypeError, OverflowError) as exc:  # float(None), float(10**400), atoms: 5
+        raise ValueError(f"bad value for distribution kind {kind!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +244,14 @@ def _adv_consts(dist: DistX) -> tuple[float, float]:
 
 def support_max(dist: DistX) -> float:
     """Largest value X can take."""
-    if dist.family == "adversarial_density":
+    if dist.kind == "adversarial_density":
         return _adv_consts(dist)[1]
     return dist.atoms[-1][0]
 
 
 def _cdf(dist: DistX, t: float, side: str) -> float:
     t = float(t)
-    if dist.family == "adversarial_density":
+    if dist.kind == "adversarial_density":
         a, t_max = _adv_consts(dist)
         if t <= 0.0:
             return 0.0
@@ -291,7 +276,7 @@ def cdf(dist: DistX, t: float) -> float:
 
 def expectation(dist: DistX) -> float:
     """E[X]; exact for atoms, closed form for the density family."""
-    if dist.family == "adversarial_density":
+    if dist.kind == "adversarial_density":
         a, _ = _adv_consts(dist)
         # Antiderivative of x*exp(x-(E+1)) is (x-1)*exp(x-(E+1)); evaluating
         # at the support endpoints gives the closed form below.
@@ -301,7 +286,7 @@ def expectation(dist: DistX) -> float:
 
 def expectation_exp(dist: DistX) -> float:
     """E[exp(X)], the expected fresh-run cost under either law."""
-    if dist.family == "adversarial_density":
+    if dist.kind == "adversarial_density":
         a, _ = _adv_consts(dist)
         return (math.exp(dist.E + 1.0) * (1.0 + a) ** 2 - a) / 2.0
     return math.fsum(p * math.exp(x) for x, p in dist.atoms)
@@ -309,7 +294,7 @@ def expectation_exp(dist: DistX) -> float:
 
 def sample_x(dist: DistX, rng) -> float:
     """One draw of X; rng needs a random() method returning a float in [0, 1)."""
-    if dist.family == "adversarial_density":
+    if dist.kind == "adversarial_density":
         a, _ = _adv_consts(dist)
         u = 1.0 - rng.random()  # in (0, 1]
         return dist.E + 1.0 + math.log(u + a)
@@ -441,7 +426,7 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float, float]:
     dist = model.dist
 
     if model.law == "deterministic":
-        if dist.family == "adversarial_density":
+        if dist.kind == "adversarial_density":
             a, t_max = _adv_consts(dist)
             xb = math.log(b)
             if xb >= t_max:
@@ -470,7 +455,7 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float, float]:
     n = math.floor(b)
     if n < 1.0:
         return 1.0, 0.0, 0.0
-    if dist.family == "adversarial_density":
+    if dist.kind == "adversarial_density":
         return _adv_geometric_stats(dist, n)
     q = m = p = 0.0
     for x, w in dist.atoms:
@@ -489,7 +474,7 @@ def success_impossible(model: RuntimeModel, b: float) -> bool:
     b = float(b)
     if model.law == "geometric":
         return math.floor(b) < 1.0  # T >= 1 and any whole step can succeed
-    if model.dist.family == "adversarial_density":
+    if model.dist.kind == "adversarial_density":
         return b <= 1.0  # Pr(X <= ln b) = 0 iff ln b <= 0
     return math.exp(model.dist.atoms[0][0]) > b
 

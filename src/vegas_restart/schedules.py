@@ -175,13 +175,16 @@ def luby_schedule(unit: float) -> Schedule:
     return Schedule(kind="luby", params=(("unit", unit),))
 
 
-_SCHEDULE_KIND_FIELDS = {
-    "single_threshold": {"t"},
-    "fixed": {"EX"},
-    "two_threshold": {"EX"},
-    "specific_E": {"E"},
-    "universal": set(),
-    "luby": {"unit"},
+# Each spec kind: its constructor, the fields it takes in argument order, and
+# for the kinds keyed to the mean the floor f of the default max(default_ex, f)
+# that stands in for an omitted field (None: the field is required).
+_SPEC_KINDS = {
+    "single_threshold": (single_threshold_schedule, ("t",), None),
+    "fixed": (fixed_schedule, ("EX",), -math.inf),
+    "two_threshold": (two_threshold_schedule, ("EX",), -math.inf),
+    "specific_E": (specific_e_schedule, ("E",), 5.0),
+    "universal": (universal_schedule, (), None),
+    "luby": (luby_schedule, ("unit",), None),
 }
 
 
@@ -191,40 +194,27 @@ def build_schedule(spec: dict, default_ex: float | None = None) -> Schedule:
     Kinds: single_threshold(t), fixed(EX), two_threshold(EX), specific_E(E),
     universal, luby(unit).  For the mean-keyed kinds the parameter may be
     omitted when default_ex (the configured distribution's expectation) is
-    supplied; specific_E then defaults to max(default_ex, 5).
+    supplied; specific_E then defaults to max(default_ex, 5).  Unknown fields
+    and values of the wrong type are rejected with ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"schedule spec must be a dict, got {type(spec).__name__}")
     kind = spec.get("kind")
-    if kind not in _SCHEDULE_KIND_FIELDS:
+    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}")
-    unknown = set(spec) - {"kind"} - _SCHEDULE_KIND_FIELDS[kind]
+    make, names, floor = _SPEC_KINDS[kind]
+    unknown = set(spec) - {"kind", *names}
     if unknown:
         raise ValueError(f"schedule kind {kind!r} does not take fields {sorted(unknown)}")
-
-    def mean_param(name: str):
+    args = []
+    for name in names:
         if name in spec:
-            return spec[name]
-        if default_ex is None:
+            args.append(spec[name])
+        elif floor is None or default_ex is None:
             raise ValueError(f"schedule kind {kind!r} needs field {name!r}")
-        return default_ex
-
-    if kind == "single_threshold":
-        if "t" not in spec:
-            raise ValueError("single_threshold needs field 't'")
-        return single_threshold_schedule(spec["t"])
-    if kind == "fixed":
-        return fixed_schedule(mean_param("EX"))
-    if kind == "two_threshold":
-        return two_threshold_schedule(mean_param("EX"))
-    if kind == "specific_E":
-        if "E" in spec:
-            return specific_e_schedule(spec["E"])
-        if default_ex is None:
-            raise ValueError("specific_E needs field 'E'")
-        return specific_e_schedule(max(default_ex, 5.0))
-    if kind == "universal":
-        return universal_schedule()
-    if "unit" not in spec:
-        raise ValueError("luby needs field 'unit'")
-    return luby_schedule(spec["unit"])
+        else:
+            args.append(max(default_ex, floor))
+    try:
+        return make(*args)
+    except (TypeError, OverflowError) as exc:  # float([1]), float(10**400)
+        raise ValueError(f"bad value for schedule kind {kind!r}: {exc}") from None

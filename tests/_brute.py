@@ -186,7 +186,7 @@ def reference_threshold_candidates(dist, t_lo, t_hi):
     """Grid plus just-above-atom (and support-edge) probe points in [t_lo, t_hi]."""
     delta = 1e-9 * (1.0 + expectation(dist))
     pts = [np.linspace(t_lo, t_hi, _GRID_POINTS)]
-    if dist.family == "adversarial_density":
+    if dist.kind == "adversarial_density":
         t_max = distx.support_max(dist)
         knots = np.array([delta, t_max - delta, t_max, t_max + delta])
     else:

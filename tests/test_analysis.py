@@ -900,7 +900,7 @@ def _monotone_budget_grid(dist):
     edges floor(e**x) and floor(e**x) + 1; for the density, the doubles
     either side of e**0 and budgets approaching e**t_max from below."""
     budgets = {math.exp(k / 4.0) for k in range(-8, 4 * 301 + 1)}
-    if dist.family == "adversarial_density":
+    if dist.kind == "adversarial_density":
         edges = [1.0, math.exp(distx.support_max(dist))]
         budgets.update(edges[1] * (1.0 - 2.0**-k) for k in range(1, 54))
     else:
@@ -1030,7 +1030,7 @@ def test_cyclic_costs_of_the_zoo_are_within_4_ulps_of_mpmath():
     # 2**-53 off (constant(10) x geometric x specific_E(10) the worst); with
     # survival in log space the worst is 2.6.
     for model in zoo_models():
-        if model.dist.family == "adversarial_density":
+        if model.dist.kind == "adversarial_density":
             continue
         for schedule in _cyclic_schedules(model):
             est = analytic_cost(model, schedule)

@@ -183,6 +183,25 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "field, spec, err",
+    [
+        ("distribution", {"kind": "two_point", "E": None},
+         "bad value for distribution kind 'two_point': "),
+        ("distribution", {"kind": "two_point", "E": 10**400},
+         "bad value for distribution kind 'two_point': "),
+        ("distribution", {"kind": "discrete", "atoms": 5},
+         "bad value for distribution kind 'discrete': "),
+        ("schedule", {"kind": "luby", "unit": [1]}, "bad value for schedule kind 'luby': "),
+        ("schedule", {"kind": ["fixed"]}, "unknown schedule kind ['fixed']\n"),
+    ],
+)
+def test_wrong_typed_spec_values_are_config_errors(tmp_path, capsys, field, spec, err):
+    cfg = write_config(tmp_path, {**BASIC, field: spec})
+    assert main(["analyze", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + err)
+
+
 def test_config_list_and_jsonl(tmp_path, capsys):
     cfg = write_config(tmp_path, [BASIC, {**BASIC, "law": "geometric"}])
     assert main(["analyze", "--config", cfg, "--format", "jsonl"]) == 0

@@ -265,6 +265,7 @@ def test_build_schedule_dispatch():
     assert (budget_at(build_schedule({"kind": "fixed"}, default_ex=4.0), 1)
             == budget_at(fixed_schedule(4.0), 1))
     assert build_schedule({"kind": "two_threshold", "EX": 4.0}).cycle == two_threshold_schedule(4.0).cycle
+    assert build_schedule({"kind": "two_threshold"}, default_ex=3.0) == two_threshold_schedule(3.0)
     assert build_schedule({"kind": "specific_E"}, default_ex=3.0).label == "specific_E(E=5)"
     assert build_schedule({"kind": "universal"}).kind == "universal"
     assert budget_at(build_schedule({"kind": "luby", "unit": 2.0}), 3) == 4.0
