@@ -114,13 +114,13 @@ def analytic_cost(
     """Exact expected total cost of running the schedule on the model.
 
     A cyclic schedule gets its closed form, a point; eps_tail and attempt_cap
-    act only on the "universal" and "luby" scans.  Returns +infinity only on
-    a support argument (no budget the schedule ever issues can complete a
-    run); raises TailNotConvergent when a scan cannot certify its series
-    within attempt_cap attempts, or a closed form cannot be trusted.  A Luby
-    scan refuses after attempt_cap + 1 attempts; "universal" checks the cap
-    at the start of each block, so it refuses after the first block that
-    passes it.
+    act only on the "universal" and "luby" scans.  Returns +infinity only
+    when no budget of a cycle can complete a run (p = 0 at each); raises
+    TailNotConvergent when a scan cannot certify its series within
+    attempt_cap attempts, or a closed form cannot be trusted.  A Luby scan
+    refuses after attempt_cap + 1 attempts; "universal" checks the cap at
+    the start of each block, so it refuses after the first block that passes
+    it.
     """
     if not eps_tail > 0.0:
         raise ValueError(f"eps_tail must be positive, got {eps_tail!r}")
@@ -147,11 +147,12 @@ def analytic_cost(
 def _cyclic_cost(model, schedule) -> CostEstimate:
     """C / (1 - Q) for the segment (n, ln Q, C) of one cycle: the renewal
     series summed in closed form, with 1 - Q = -expm1(ln Q) at full relative
-    precision however small p is."""
-    if all(distx.success_impossible(model, budget) for _, budget in schedule.cycle):
-        return CostEstimate(math.inf, 0.0, sum(count for count, _ in schedule.cycle))
+    precision however small p is.  ln Q stays 0.0 only when p = 0 at every
+    budget of the cycle, as any p > 0 makes it negative: no run can finish."""
     *_, (cycle_attempts, log_survival, cycle_cost) = _fold(
         functools.partial(runtime_stats, model), schedule.cycle)
+    if log_survival == 0.0:
+        return CostEstimate(math.inf, 0.0, cycle_attempts)
     cycle_success = -math.expm1(log_survival)
     cost = cycle_cost / cycle_success
     if cost == math.inf:

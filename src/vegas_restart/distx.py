@@ -142,7 +142,7 @@ def fixed_t_counterexample(E: float, t: float) -> DistX:
     E, t = float(E), float(t)
     if not (E > 0.0):
         raise ValueError(f"fixed_t_counterexample requires E > 0, got {E!r}")
-    if t < E:
+    if not t >= E:  # NaN too
         raise ValueError(f"fixed_t_counterexample requires t >= E, got t={t!r} < E={E!r}")
     if t + 1.0 > MAX_SUPPORT_LOG:
         raise ValueError(f"t+1 exceeds the range guard {MAX_SUPPORT_LOG}")
@@ -174,6 +174,9 @@ def variance_counterexample(E: float, V: float) -> DistX:
     E, V = float(E), float(V)
     if not (E > 0.0):
         raise ValueError(f"variance_counterexample requires E > 0, got {E!r}")
+    # The top atom lies at 2E or above, and E e^-E underflows to 0 past E = 745.
+    if E > MAX_SUPPORT_LOG / 2:
+        raise ValueError(f"variance_counterexample requires E <= {MAX_SUPPORT_LOG / 2}, got {E!r}")
     v_min = 2.0 * E * E * math.exp(-E)
     if V < v_min:
         raise ValueError(f"variance_counterexample requires V >= 2E^2 exp(-E) = {v_min!r}, got {V!r}")
@@ -467,16 +470,6 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float, float]:
         m += w * (succ / pg)
         p += w * succ
     return min(q, 1.0), min(m, float(n)), p  # weights summing to 1 + 1 ulp must not lift q or m
-
-
-def success_impossible(model: RuntimeModel, b: float) -> bool:
-    """True when no run can finish within budget b, by a support argument."""
-    b = float(b)
-    if model.law == "geometric":
-        return math.floor(b) < 1.0  # T >= 1 and any whole step can succeed
-    if model.dist.kind == "adversarial_density":
-        return b <= 1.0  # Pr(X <= ln b) = 0 iff ln b <= 0
-    return math.exp(model.dist.atoms[0][0]) > b
 
 
 def sample_t(model: RuntimeModel, rng) -> float:

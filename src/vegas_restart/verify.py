@@ -171,31 +171,20 @@ def verify_bounds() -> list[VerdictRow]:
     rows = []
     for model in _bounds_zoo():
         ex = expectation(model.dist)
-        label = model.label
-
-        est = analytic_cost(model, schedules.fixed_schedule(ex))
-        bound = ALG1_BOUND_CONSTANT * math.exp(ex + 1.0) * (ex + 1.0)
-        rows.append(_row("bounds", f"fixed {label}", est.upper <= bound,
-                         math.log(bound) - math.log(est.upper)))
-
-        est = analytic_cost(model, schedules.two_threshold_schedule(ex))
-        bound = ALG3_BOUND_CONSTANT * math.exp(ex) * (math.log(ex) + 2.0)
-        rows.append(_row("bounds", f"two_threshold {label}", est.upper <= bound,
-                         math.log(bound) - math.log(est.upper)))
-
         e4 = max(ex, 5.0)
-        est = analytic_cost(model, schedules.specific_e_schedule(e4))
-        bound = ALG4_BOUND_CONSTANT * math.exp(e4)
-        rows.append(_row("bounds", f"specific_E {label}", est.upper <= bound,
-                         math.log(bound) - math.log(est.upper)))
-
-        est = analytic_cost(model, schedules.universal_schedule())
-        bound = ALG5_BOUND_CONSTANT * math.exp(ex)
-        rows.append(_row("bounds", f"universal {label}", est.upper <= bound,
-                         math.log(bound) - math.log(est.upper)))
-        bound_t = ALG5_BOUND_CONSTANT * expected_runtime(model)
-        rows.append(_row("bounds", f"universal_vs_ET {label}", est.upper <= bound_t,
-                         math.log(bound_t) - math.log(est.upper)))
+        universal = analytic_cost(model, schedules.universal_schedule())
+        for name, est, bound in (
+            ("fixed", analytic_cost(model, schedules.fixed_schedule(ex)),
+             ALG1_BOUND_CONSTANT * math.exp(ex + 1.0) * (ex + 1.0)),
+            ("two_threshold", analytic_cost(model, schedules.two_threshold_schedule(ex)),
+             ALG3_BOUND_CONSTANT * math.exp(ex) * (math.log(ex) + 2.0)),
+            ("specific_E", analytic_cost(model, schedules.specific_e_schedule(e4)),
+             ALG4_BOUND_CONSTANT * math.exp(e4)),
+            ("universal", universal, ALG5_BOUND_CONSTANT * math.exp(ex)),
+            ("universal_vs_ET", universal, ALG5_BOUND_CONSTANT * expected_runtime(model)),
+        ):
+            rows.append(_row("bounds", f"{name} {model.label}", est.upper <= bound,
+                             math.log(bound) - math.log(est.upper)))
 
     for e in (5.0, 10.0, 20.0):
         model = RuntimeModel(distx.constant(e), "deterministic")

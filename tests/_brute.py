@@ -121,8 +121,18 @@ def _reference_rounds(schedule):
         yield ((1, unit * luby_value(i)),)
 
 
+def _success_impossible(model, budget):
+    """True when no run can finish within the budget, by a support argument
+    on the model alone: the reference for the oracle's p = 0."""
+    if model.law == "geometric":
+        return math.floor(budget) < 1.0  # T >= 1 and any whole step can succeed
+    if model.dist.kind == "adversarial_density":
+        return budget <= 1.0  # Pr(X <= ln b) = 0 iff ln b <= 0
+    return math.exp(model.dist.atoms[0][0]) > budget
+
+
 def _eval_group(model, count, budget):
-    hopeless = distx.success_impossible(model, budget)
+    hopeless = _success_impossible(model, budget)
     q, m, _ = runtime_stats(model, budget)
     return count, budget, 1.0 if hopeless else q, m, hopeless
 

@@ -20,7 +20,9 @@ Cases:
   - 1500 seeded random 1-4-atom models x the same four scans at the default
     caps and at 4095 with 1e-4;
   - every model above x {fixed, specific_E, two_threshold, single_threshold
-    at 0, E[X], E[X] + 1 and at each atom}.
+    at -1, 0, E[X], E[X] + 1 and at each atom}.  The threshold -1 gives the
+    budget 2/e < 1, so under the geometric law no attempt gets a whole step
+    and the cost is +inf.
 
 The leading underscore keeps pytest from collecting this file.
 """
@@ -80,7 +82,7 @@ def _cyclic_specs(model):
     yield f"fixed(EX={ex!r})", lambda: fixed_schedule(ex)
     yield f"specific_E(E={max(ex, 5.0)!r})", lambda: specific_e_schedule(max(ex, 5.0))
     yield f"two_threshold(EX={ex!r})", lambda: two_threshold_schedule(ex)
-    thresholds = sorted({0.0, ex, ex + 1.0} | {x for x, _ in model.dist.atoms})
+    thresholds = sorted({-1.0, 0.0, ex, ex + 1.0} | {x for x, _ in model.dist.atoms})
     for t in thresholds:
         yield f"single_threshold(t={t!r})", lambda t=t: single_threshold_schedule(t)
 

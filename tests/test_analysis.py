@@ -960,13 +960,36 @@ def test_cyclic_closed_form_matches_the_renewal_sum(model, t):
         schedules.append(two_threshold_schedule(ex))
     for schedule in schedules:
         est = analytic_cost(model, schedule)
-        if all(distx.success_impossible(model, b) for _, b in schedule.cycle):
+        if all(_brute._success_impossible(model, b) for _, b in schedule.cycle):
             assert est.expected_cost == math.inf
             continue
         assert (est.tail_bound, est.attempts_summed) == (
             0.0, sum(count for count, _ in schedule.cycle))
         assert est.expected_cost == pytest.approx(_renewal_until_survival(model, schedule),
                                                   rel=1e-12), schedule.label
+
+
+def _edge_budgets(model):
+    """Budgets at the edges of the support: below, at and just above one
+    whole step, and for atom models the lowest atom's runtime and its two
+    neighbouring doubles."""
+    budgets = [0.5, 1.0, math.nextafter(1.0, 2.0), 2.0]
+    if model.dist.atoms:
+        t_low = math.exp(model.dist.atoms[0][0])
+        budgets += [math.nextafter(t_low, 0.0), t_low, math.nextafter(t_low, math.inf)]
+    return budgets
+
+
+@pytest.mark.parametrize("model", zoo_models(), ids=lambda m: m.label)
+def test_zero_success_probability_is_exactly_the_support_argument(model):
+    # _cyclic_cost returns +inf when the cycle's survival stays at ln Q = 0.0,
+    # which happens only when p = 0 at every budget: p must be 0.0 exactly
+    # where no run can finish, and positive everywhere else.
+    for budget in _edge_budgets(model):
+        p = distx.runtime_stats(model, budget)[2]
+        assert (p == 0.0) == _brute._success_impossible(model, budget), (budget, p)
+    est = analytic_cost(model, single_threshold_schedule(-1.0))  # budget 2/e < 1
+    assert (est.expected_cost, est.tail_bound, est.attempts_summed) == (math.inf, 0.0, 1)
 
 
 def _exact_atom_stats(model, budget):

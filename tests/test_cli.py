@@ -515,6 +515,37 @@ def test_analyze_uncoverable_universal_exits_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+_NAN_T = {"kind": "fixed_t_counterexample", "E": 5, "t": math.nan}  # json.load parses NaN
+_NAN_T_ERR = "config error: fixed_t_counterexample requires t >= E, got t=nan"
+
+
+@pytest.mark.parametrize(
+    "command, dist, err",
+    [
+        pytest.param("analyze", _NAN_T, _NAN_T_ERR, id="analyze-nan_t"),
+        pytest.param("simulate", _NAN_T, _NAN_T_ERR, id="simulate-nan_t"),
+        pytest.param("sweep", None, _NAN_T_ERR, id="sweep-nan_t"),
+        pytest.param("analyze", {"kind": "variance_counterexample", "E": 800, "V": 1},
+                     "config error: variance_counterexample requires E <= 150.0, got 800.0",
+                     id="analyze-variance_E800"),
+    ],
+)
+def test_distribution_parameters_past_their_guards_are_config_errors(
+    tmp_path, capsys, command, dist, err
+):
+    # A NaN t would build atoms at NaN, and E = 800 divide by an underflowed
+    # E e^-E.  Runs on NaN atoms never succeed, so the caps keep a
+    # simulation short should one get past the guard.
+    if command == "sweep":
+        argv = ["sweep", "--family", "fixed_t_counterexample", "--e-start", "5",
+                "--e-stop", "5", "--schedules", "fixed", "--t", "nan"]
+    else:
+        cfg = {**BASIC, "distribution": dist, "trials": 100, "caps": {"max_attempts": 100}}
+        argv = [command, "--config", write_config(tmp_path, cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(err)
+
+
 def test_sweep_unknown_family(capsys):
     assert (
         main(

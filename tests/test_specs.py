@@ -2,8 +2,11 @@
 
 A full spec builds what the kind's constructor builds; a missing field, an
 extra field and an unknown kind are refused with ValueError and exact text.
+A distribution spec with an edge value in any numeric field is refused with
+ValueError or builds a distribution with finite atoms and moments.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -167,3 +170,43 @@ def test_distribution_field_errors_do_not_depend_on_the_hash_seed():
         "distribution kind 'two_point' takes exactly fields ['E']; "
         "missing [], unexpected ['V', 'c', 't']\n"
     ]
+
+
+# A valid spec of each distribution kind.  Each numeric field is a key, or
+# for discrete an (atom, slot) pair of the second atom's position and weight.
+_BASE_SPECS = {
+    "two_point": {"E": 4.0},
+    "fixed_t_counterexample": {"E": 5.0, "t": 10.0},
+    "adversarial_density": {"E": 5.0},
+    "variance_counterexample": {"E": 5.0, "V": 10.0},
+    "constant": {"c": 1.0},
+    "discrete": {"atoms": [[0.0, 0.5], [1.0, 0.5]]},
+}
+_NUMERIC_FIELDS = [
+    (kind, field)
+    for kind, (_, names) in distx._SPEC_KINDS.items()
+    for field in ([(1, 0), (1, 1)] if kind == "discrete" else names)
+]
+_EDGE_VALUES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324, 1e-300,
+                745.0, 800.0)
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES, ids=repr)
+@pytest.mark.parametrize("kind, field", _NUMERIC_FIELDS, ids=str)
+def test_edge_values_are_refused_or_build_a_finite_distribution(kind, field, value):
+    # Weights are not checked: two_point(E) keeps a zero-weight top atom for
+    # E below about 1e-16, where 1 - 1/(1 + E) rounds to 0.
+    spec = {"kind": kind, **_BASE_SPECS[kind]}
+    if kind == "discrete":
+        atoms = [list(atom) for atom in spec["atoms"]]
+        atoms[field[0]][field[1]] = value
+        spec["atoms"] = atoms
+    else:
+        spec[field] = value
+    try:
+        dist = build_distribution(spec)
+    except ValueError:
+        return
+    assert all(math.isfinite(x) for x, _ in dist.atoms), dist
+    assert math.isfinite(distx.support_max(dist)), dist
+    assert math.isfinite(distx.expectation(dist)), dist
