@@ -59,7 +59,7 @@ SWEEP_COLUMNS = [
     "excess_log_cost",
 ]
 
-VERIFY_COLUMNS = ["scope", "name", "holds", "margin", "detail"]
+VERIFY_COLUMNS = [f.name for f in fields(verify.VerdictRow)]
 
 # The most values of E one sweep may visit, floor((stop - start) / step) + 1.
 # Rows are kept in memory until they are sorted.  At this cap a two_point
@@ -92,19 +92,34 @@ _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 _CAPS_FIELDS = {f.name for f in fields(Caps)}
 
 
-def _number(obj: dict, name: str, convert, default):
-    try:
-        return convert(obj.get(name, default))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {obj.get(name)!r}") from None
+def _numbers(obj: dict, cls) -> dict:
+    """Each int and float field of dataclass cls, read from obj or its default.
+
+    A boolean is not a number, and an int field refuses a fraction rather
+    than truncate it.
+    """
+    numbers = {}
+    for f in fields(cls):
+        if f.type not in ("int", "float"):
+            continue
+        value = obj.get(f.name, f.default)
+        try:
+            number = int(value) if f.type == "int" else float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if number is None or isinstance(value, bool):
+            raise ConfigError(f"{f.name} must be a number, got {value!r}")
+        if f.type == "int" and isinstance(value, float) and number != value:
+            raise ConfigError(f"{f.name} must be a whole number, got {value!r}")
+        numbers[f.name] = number
+    return numbers
 
 
-def _check_eps_tail(eps_tail: float, name: str) -> float:
+def _check_eps_tail(eps_tail: float, name: str) -> None:
     if not eps_tail > 0.0:
         raise ConfigError(f"{name} must be positive, got {eps_tail!r}")
     if eps_tail == math.inf:
         raise ConfigError(f"{name} must be finite, got inf")
-    return eps_tail
 
 
 def parse_config(obj) -> list[ExperimentConfig]:
@@ -125,45 +140,26 @@ def parse_config(obj) -> list[ExperimentConfig]:
         mode = entry.get("mode", ExperimentConfig.mode)
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+        numbers = _numbers(entry, ExperimentConfig)
+        _check_eps_tail(numbers["eps_tail"], "eps_tail")
+        threshold = numbers["cap_trip_threshold"]
+        if not 0.0 <= threshold < math.inf:
+            raise ConfigError(
+                f"cap_trip_threshold must be a finite number >= 0, got {threshold!r}"
+            )
         caps = None
         if "caps" in entry:
             caps_obj = entry["caps"]
             if not isinstance(caps_obj, dict) or set(caps_obj) - _CAPS_FIELDS:
                 raise ConfigError(f"caps takes fields {sorted(_CAPS_FIELDS)}")
-            caps = Caps(
-                max_attempts=_number(caps_obj, "max_attempts", int, Caps.max_attempts),
-                max_total_cost=_number(caps_obj, "max_total_cost", float, Caps.max_total_cost),
-            )
+            caps = Caps(**_numbers(caps_obj, Caps))
             # Below one attempt no trial can run; every one would count as capped.
             if caps.max_attempts < 1:
                 raise ConfigError(f"max_attempts must be >= 1, got {caps.max_attempts!r}")
             # A NaN cost cap never trips, so a run that cannot succeed never ends.
             if not caps.max_total_cost > 0.0:
                 raise ConfigError(f"max_total_cost must be positive, got {caps.max_total_cost!r}")
-        trials = _number(entry, "trials", int, ExperimentConfig.trials)
-        eps_tail = _check_eps_tail(
-            _number(entry, "eps_tail", float, ExperimentConfig.eps_tail), "eps_tail"
-        )
-        cap_trip_threshold = _number(
-            entry, "cap_trip_threshold", float, ExperimentConfig.cap_trip_threshold
-        )
-        if not 0.0 <= cap_trip_threshold < math.inf:
-            raise ConfigError(
-                f"cap_trip_threshold must be a finite number >= 0, got {cap_trip_threshold!r}"
-            )
-        configs.append(
-            ExperimentConfig(
-                distribution=entry["distribution"],
-                law=entry["law"],
-                schedule=entry["schedule"],
-                mode=mode,
-                trials=trials,
-                seed=_number(entry, "seed", int, ExperimentConfig.seed),
-                eps_tail=eps_tail,
-                caps=caps,
-                cap_trip_threshold=cap_trip_threshold,
-            )
-        )
+        configs.append(ExperimentConfig(**{**entry, **numbers, "caps": caps}))
     return configs
 
 
@@ -227,18 +223,32 @@ def _base_row(cfg: ExperimentConfig, dist, model, sched) -> dict:
     }
 
 
+def _priced(est, ex: float) -> dict:
+    """The cost columns of an oracle estimate on a model of mean ex; each
+    command's column list picks the ones it prints."""
+    log_cost = math.log(est.expected_cost) if est.expected_cost > 0.0 else -math.inf
+    return {
+        "analytic_cost": est.expected_cost,
+        "tail_bound": est.tail_bound,
+        "log_cost": log_cost,
+        "excess_log_cost": log_cost - ex,
+    }
+
+
 def _sort_rows(rows: list[dict]) -> list[dict]:
     return sorted(rows, key=lambda r: (r["family"], r["EX"], r["schedule"], r["law"]))
 
 
-def _resolve(cfg: ExperimentConfig):
+def _resolve(dist_spec, law: str, sched_specs: list):
+    """The distribution, runtime model and schedules of one run's specs."""
     try:
-        dist = build_distribution(cfg.distribution)
-        model = RuntimeModel(dist, cfg.law)
-        sched = build_schedule(cfg.schedule, default_ex=expectation(dist))
+        dist = build_distribution(dist_spec)
+        model = RuntimeModel(dist, law)
+        ex = expectation(dist)
+        scheds = [build_schedule(spec, default_ex=ex) for spec in sched_specs]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return dist, model, sched
+    return dist, model, scheds
 
 
 def _check_trials(trials: int) -> None:
@@ -254,7 +264,8 @@ def _resolved_configs(args):
         if args.trials is not None:
             cfg.trials = args.trials
         _check_trials(cfg.trials)
-        yield (cfg, *_resolve(cfg))
+        dist, model, (sched,) = _resolve(cfg.distribution, cfg.law, [cfg.schedule])
+        yield cfg, dist, model, sched
 
 
 def cmd_analyze(args) -> int:
@@ -263,19 +274,12 @@ def cmd_analyze(args) -> int:
     for cfg, dist, model, sched in _resolved_configs(args):
         est = analytic_cost(model, sched, eps_tail=cfg.eps_tail)
         row = _base_row(cfg, dist, model, sched)
-        row["analytic_cost"] = est.expected_cost
-        row["tail_bound"] = est.tail_bound
-        if math.isinf(est.expected_cost):
-            row["log_cost"] = math.inf
-            row["ratio"] = math.inf
-            if cfg.mode != "analyze":
-                infinite_required_finite = True
-        else:
-            log_cost = math.log(est.expected_cost) if est.expected_cost > 0.0 else -math.inf
-            row["log_cost"] = log_cost
-            row["ratio"] = math.exp(log_cost - row["EX"])
+        row.update(_priced(est, row["EX"]))
+        row["ratio"] = math.exp(row["excess_log_cost"])
         row["verdicts"] = _verdict_tokens(model)
         rows.append(row)
+        if math.isinf(est.expected_cost) and cfg.mode != "analyze":
+            infinite_required_finite = True
     _emit(_sort_rows(rows), RESULT_COLUMNS, args.format, args.out)
     if infinite_required_finite:
         print("error: infinite expected cost", file=sys.stderr)
@@ -312,16 +316,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     verdicts = verify.run_scope(args.scope)
-    rows = [
-        {
-            "scope": v.scope,
-            "name": v.name,
-            "holds": int(v.holds),
-            "margin": v.margin,
-            "detail": v.detail,
-        }
-        for v in verdicts
-    ]
+    rows = [{**vars(v), "holds": int(v.holds)} for v in verdicts]
     _emit(rows, VERIFY_COLUMNS, args.format, args.out)
     failures = [v for v in verdicts if not v.holds]
     n = len(verdicts)
@@ -331,33 +326,34 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-_THRESH_RE = re.compile(r"^(?:(\d+(?:\.\d+)?)?E)?(?:([+-]\d+(?:\.\d+)?))?$")
+_THRESH_RE = re.compile(r"^(\d+(?:\.\d+)?)?E([+-]\d+(?:\.\d+)?)?$")
 
 
 def _parse_threshold_expr(expr: str, e: float) -> float:
-    """Parse threshold expressions like '2E', 'E+5', 'E', or a plain number."""
+    """Parse threshold expressions like '2E', 'E+5', '2E-1', 'E', or a plain
+    number; a text that fits the grammar in E is read by it, so '2E+1' is
+    2e + 1, not 20."""
     expr = expr.strip()
+    match = _THRESH_RE.match(expr)
+    if match:
+        factor, offset = match.groups()
+        return (float(factor) if factor else 1.0) * e + (float(offset) if offset else 0.0)
     try:
         return float(expr)
     except ValueError:
-        pass
-    match = _THRESH_RE.match(expr)
-    if not match or (match.group(1) is None and "E" not in expr):
-        raise ConfigError(f"cannot parse threshold expression {expr!r}")
-    factor = float(match.group(1)) if match.group(1) else (1.0 if "E" in expr else 0.0)
-    offset = float(match.group(2)) if match.group(2) else 0.0
-    return factor * e + offset
+        raise ConfigError(f"cannot parse threshold expression {expr!r}") from None
 
 
-def _sweep_schedule(token: str, ex: float, e: float):
-    """Build one --schedules token: kind, or kind:param for single_threshold (t) and luby (unit)."""
+def _sweep_schedule(token: str, e: float) -> dict:
+    """The spec of one --schedules token: kind, or kind:param for
+    single_threshold (t) and luby (unit, read by luby_schedule)."""
     kind, _, param = token.partition(":")
     spec = {"kind": kind}
     if kind == "luby":
-        spec["unit"] = float(param) if param else 1.0
+        spec["unit"] = param or 1.0
     elif param:  # a kind other than single_threshold rejects the "param" field
         spec["t" if kind == "single_threshold" else "param"] = _parse_threshold_expr(param, e)
-    return build_schedule(spec, default_ex=ex)
+    return spec
 
 
 def cmd_sweep(args) -> int:
@@ -383,34 +379,16 @@ def cmd_sweep(args) -> int:
     rows = []
     e = float(args.e_start)
     while e <= args.e_stop + 1e-12:
-        try:
-            spec = {"kind": args.family, "c" if args.family == "constant" else "E": e}
-            if args.t is not None:
-                spec["t"] = _parse_threshold_expr(args.t, e)
-            dist = build_distribution(spec)
-            ex = expectation(dist)
-            model = RuntimeModel(dist, args.law)
-            scheds = [_sweep_schedule(token.strip(), ex, e) for token in tokens]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        dist_spec = {"kind": args.family, "c" if args.family == "constant" else "E": e}
+        if args.t is not None:
+            dist_spec["t"] = _parse_threshold_expr(args.t, e)
+        sched_specs = [_sweep_schedule(token.strip(), e) for token in tokens]
+        dist, model, scheds = _resolve(dist_spec, args.law, sched_specs)
+        ex = expectation(dist)
         for sched in scheds:
             est = analytic_cost(model, sched, eps_tail=args.eps_tail)
-            log_cost = (
-                math.log(est.expected_cost) if 0.0 < est.expected_cost < math.inf else math.inf
-            )
-            rows.append(
-                {
-                    "family": dist.kind,
-                    "distribution": dist.label,
-                    "law": args.law,
-                    "schedule": sched.label,
-                    "EX": ex,
-                    "analytic_cost": est.expected_cost,
-                    "tail_bound": est.tail_bound,
-                    "log_cost": log_cost,
-                    "excess_log_cost": log_cost - ex,
-                }
-            )
+            rows.append({"family": dist.kind, "distribution": dist.label, "law": args.law,
+                         "schedule": sched.label, "EX": ex, **_priced(est, ex)})
         e += args.e_step
     rows.sort(key=lambda r: (r["EX"], r["schedule"]))
     _emit(rows, SWEEP_COLUMNS, args.format, args.out)

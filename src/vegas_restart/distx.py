@@ -424,7 +424,7 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float, float]:
     loses a p below about 1e-16.
     """
     b = float(b)
-    if b <= 0.0:
+    if not b > 0.0:  # NaN included
         raise ValueError(f"budget must be positive, got {b!r}")
     dist = model.dist
 

@@ -31,7 +31,8 @@ class Caps:
 
 
 def default_caps(e_hint: float | None = None) -> Caps:
-    """Default caps; with a hint on E[X] the cost cap becomes exp(hint + 20)."""
+    """Default caps; with a hint e_hint on the largest value of X, such as
+    distx.support_max(dist), the cost cap becomes exp(e_hint + 20)."""
     if e_hint is None:
         return Caps()
     exponent = float(e_hint) + 20.0

@@ -69,13 +69,6 @@ class Schedule:
                 yield budget
 
 
-def _checked_exp_budget(t: float) -> float:
-    budget = 2.0 * math.exp(t)
-    if not (budget > 0.0 and math.isfinite(budget)):  # pragma: no cover - guarded earlier
-        raise ScheduleRangeError(f"budget 2*exp({t}) is not a positive finite double")
-    return budget
-
-
 def single_threshold_schedule(t: float) -> Schedule:
     """Constant stream of budgets 2*exp(t)."""
     t = float(t)
@@ -83,9 +76,7 @@ def single_threshold_schedule(t: float) -> Schedule:
         raise ScheduleRangeError(
             f"threshold must be finite and in [{_MIN_THRESHOLD}, {MAX_SINGLE_THRESHOLD}], got {t!r}"
         )
-    return Schedule(
-        kind="single_threshold", params=(("t", t),), cycle=((1, _checked_exp_budget(t)),)
-    )
+    return Schedule(kind="single_threshold", params=(("t", t),), cycle=((1, 2.0 * math.exp(t)),))
 
 
 def fixed_schedule(ex: float) -> Schedule:
@@ -95,9 +86,7 @@ def fixed_schedule(ex: float) -> Schedule:
         raise ScheduleRangeError(
             f"mean parameter must lie in [0, {MAX_SINGLE_THRESHOLD - 1}], got {ex!r}"
         )
-    return Schedule(
-        kind="fixed", params=(("EX", ex),), cycle=((1, _checked_exp_budget(ex + 1.0)),)
-    )
+    return Schedule(kind="fixed", params=(("EX", ex),), cycle=((1, 2.0 * math.exp(ex + 1.0)),))
 
 
 def two_threshold_schedule(ex: float) -> Schedule:
@@ -113,8 +102,8 @@ def two_threshold_schedule(ex: float) -> Schedule:
         )
     log_ex = math.log(ex)
     cycle = (
-        (math.ceil(ex + 1.0), _checked_exp_budget(ex - log_ex)),
-        (math.ceil(log_ex + 2.0), _checked_exp_budget(ex + 2.0)),
+        (math.ceil(ex + 1.0), 2.0 * math.exp(ex - log_ex)),
+        (math.ceil(log_ex + 2.0), 2.0 * math.exp(ex + 2.0)),
     )
     return Schedule(kind="two_threshold", params=(("EX", ex),), cycle=cycle)
 
@@ -138,8 +127,8 @@ def budget_block(e: float) -> tuple[tuple[int, float], ...]:
     entries = []
     for k in range(1, len(values)):
         count = 2 * math.ceil((values[k - 1] + 2.0) ** 2 + 1.0)
-        entries.append((count, _checked_exp_budget(e - values[k])))
-    entries.append((2, _checked_exp_budget(e + 10.0)))
+        entries.append((count, 2.0 * math.exp(e - values[k])))
+    entries.append((2, 2.0 * math.exp(e + 10.0)))
     return tuple(entries)
 
 

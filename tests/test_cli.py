@@ -176,11 +176,25 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         ("caps", {"max_total_cost": None}),
         ("caps", {"max_total_cost": math.nan}),
         ("caps", {"max_total_cost": 0.0}),
+        ("seed", 1.5),
+        ("seed", True),
+        ("trials", 500.9),
+        ("caps", {"max_attempts": 2.5}),
+        ("eps_tail", True),
     ]:
         bad = write_config(tmp_path, {**BASIC, field: value}, name="badvalue.json")
         for command in ("analyze", "simulate"):
             assert main([command, "--config", bad]) == 2, (field, value, command)
     capsys.readouterr()
+    bad = write_config(tmp_path, {**BASIC, "trials": 500.9}, name="badvalue.json")
+    assert main(["simulate", "--config", bad]) == 2
+    assert capsys.readouterr().err == "config error: trials must be a whole number, got 500.9\n"
+    # A whole float and a numeric string convert exactly.
+    for field, value in [("trials", 1e3), ("seed", "7")]:
+        good = write_config(tmp_path, {**BASIC, field: value}, name="goodvalue.json")
+        assert main(["analyze", "--config", good]) == 0, (field, value)
+        row = next(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert row[field] == str(int(value))
 
 
 @pytest.mark.parametrize(
@@ -387,6 +401,24 @@ def test_sweep_trap_family_with_threshold_expression(tmp_path):
     rows = read_rows(out)
     costs = {row["schedule"].split("(")[0]: float(row["analytic_cost"]) for row in rows}
     assert costs["single_threshold"] / costs["universal"] > 1e9
+
+
+@pytest.mark.parametrize(
+    "t, threshold, dist_label, sched_label",
+    [
+        ("2E+1", "2E-1", "fixed_t_counterexample(E=5,t=11)", "single_threshold(t=9)"),
+        ("2E", "0.5E+2", "fixed_t_counterexample(E=5,t=10)", "single_threshold(t=4.5)"),
+        ("1e1", "-5", "fixed_t_counterexample(E=5,t=10)", "single_threshold(t=-5)"),
+    ],
+)
+def test_sweep_threshold_expressions_with_a_factor_and_an_offset(
+    capsys, t, threshold, dist_label, sched_label
+):
+    # "2E+1" fits the grammar in E (2 * 5 + 1), though float() reads it as 20.
+    assert main(["sweep", "--family", "fixed_t_counterexample", "--t", t, "--e-start", "5",
+                 "--e-stop", "5", "--schedules", f"single_threshold:{threshold}"]) == 0
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert (row["distribution"], row["schedule"]) == (dist_label, sched_label)
 
 
 def test_sweep_empty_schedules_is_config_error(capsys):

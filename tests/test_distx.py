@@ -394,6 +394,10 @@ def test_runtime_stats_rejects_nonpositive_budget():
     model = RuntimeModel(constant(1.0), "deterministic")
     with pytest.raises(ValueError):
         runtime_stats(model, 0.0)
+    for dist in (distx.two_point(4.0), distx.adversarial_density(5.0)):
+        for law in distx.LAWS:
+            with pytest.raises(ValueError, match="budget must be positive, got nan"):
+                runtime_stats(RuntimeModel(dist, law), math.nan)
 
 
 def test_zoo_composition():
