@@ -250,17 +250,15 @@ def expected_runtime(model: RuntimeModel) -> float:
 # Threshold-witness machinery.
 
 def _threshold_candidates(dist: DistX, t_lo: float, t_hi: float) -> list[float]:
-    """The ends of [t_lo, t_hi] and the just-above-atom (or support-edge)
-    points inside it, sorted: t - ln Pr(X < t) takes its minimum over the
-    interval at one of them.  Pr(X < t) is constant between atoms, so there the
-    function rises with t; the density's t - ln(a * expm1(t)) falls up to
-    t_max, and past t_max Pr(X < t) = 1."""
-    delta = 1e-9 * (1.0 + expectation(dist))
-    if dist.kind == "adversarial_density":
-        t_max = distx.support_max(dist)
-        knots = [t_lo, t_hi, delta, t_max - delta, t_max, t_max + delta]
-    else:
-        knots = [t_lo, t_hi] + [x + delta for x, _ in dist.atoms]
+    """The ends of [t_lo, t_hi], the top of the support and the double just
+    above each atom, those inside the interval, sorted: t - ln Pr(X < t)
+    takes its minimum over the interval at one of them.  Pr(X < t) is
+    constant between atoms, so there the function rises with t, and no
+    double lies between an atom x and nextafter(x, inf), where Pr(X < t) is
+    already Pr(X <= x).  The density's t - ln(a * expm1(t)) falls up to the
+    top of its support, and past it Pr(X < t) = 1."""
+    knots = [t_lo, t_hi, distx.support_max(dist)] + [
+        math.nextafter(x, math.inf) for x, _ in dist.atoms]
     return sorted({t for t in knots if t_lo <= t <= t_hi})
 
 

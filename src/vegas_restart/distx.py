@@ -129,7 +129,7 @@ def two_point(E: float) -> DistX:
     if not (0.0 < E <= MAX_SUPPORT_LOG - 1.0):
         raise ValueError(f"two_point requires 0 < E <= {MAX_SUPPORT_LOG - 1}, got {E!r}")
     p0 = 1.0 / (E + 1.0)
-    atoms = ((0.0, p0), (E + 1.0, 1.0 - p0))
+    atoms = _validate_atoms([(0.0, p0), (E + 1.0, 1.0 - p0)])  # 1 - p0 is 0 for E < ~1e-16
     return DistX(kind="two_point", params=(("E", E),), atoms=atoms)
 
 
@@ -147,7 +147,7 @@ def fixed_t_counterexample(E: float, t: float) -> DistX:
     if t + 1.0 > MAX_SUPPORT_LOG:
         raise ValueError(f"t+1 exceeds the range guard {MAX_SUPPORT_LOG}")
     p_hi = E / (t + 1.0)
-    atoms = ((0.0, 1.0 - p_hi), (t + 1.0, p_hi))
+    atoms = _validate_atoms([(0.0, 1.0 - p_hi), (t + 1.0, p_hi)])  # p_hi may underflow to 0
     return DistX(kind="fixed_t_counterexample", params=(("E", E), ("t", t)), atoms=atoms)
 
 
@@ -454,7 +454,9 @@ def runtime_stats(model: RuntimeModel, b: float) -> tuple[float, float, float]:
                 m += w * b
         return min(q, 1.0), min(m, b), dist.atom_prefixes[1][k]  # held to 1 and b, as below
 
-    # geometric law: the attempt gets floor(b) whole steps
+    # geometric law: the attempt gets floor(b) whole steps, and b = inf all it needs
+    if b == math.inf:
+        return 0.0, expectation_exp(dist), 1.0
     n = math.floor(b)
     if n < 1.0:
         return 1.0, 0.0, 0.0

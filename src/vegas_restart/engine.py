@@ -187,15 +187,12 @@ def run_once_truncated(process, budget: float, rng: CounterStream) -> AttemptOut
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget!r}")
     if isinstance(process, SamplerProcess):
-        model = process.model
-        whole = model.law == "geometric" and budget < math.inf
-        effective = math.floor(budget) if whole else budget
-        if effective < 1.0 and model.law == "geometric":
-            return AttemptOutcome(success=False, cost=0.0)
-        t_run = distx.sample_t(model, rng)
-        if t_run <= effective:
+        # A geometric T is whole, so T <= budget iff T <= floor(budget), the charge on failure.
+        t_run = distx.sample_t(process.model, rng)
+        if t_run <= budget:
             return AttemptOutcome(success=True, cost=t_run)
-        return AttemptOutcome(success=False, cost=effective)
+        whole = process.model.law == "geometric"
+        return AttemptOutcome(success=False, cost=float(math.floor(budget)) if whole else budget)
     if isinstance(process, ResumableProcess):
         if budget == math.inf:
             raise ValueError("a stepped attempt needs a finite budget, got inf")

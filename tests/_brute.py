@@ -17,7 +17,7 @@ import numpy as np
 
 from vegas_restart import distx
 from vegas_restart.analysis import _BLOCK_COST_FACTOR, CostEstimate, TailNotConvergent, _fold
-from vegas_restart.distx import expectation, runtime_stats
+from vegas_restart.distx import runtime_stats
 from vegas_restart.schedules import budget_block, luby_value
 
 
@@ -183,24 +183,20 @@ def reference_scan_cost(model, schedule, eps_tail=1e-10, attempt_cap=10_000_000)
 
 
 # ---------------------------------------------------------------------------
-# Reference for lemma 3's threshold search: the candidate set of the
-# 10,001-point grid search, kept verbatim.  analysis._threshold_candidates
-# keeps only its exact candidates, the ends and the knots; with this set
-# patched in, find_threshold_witness and min_threshold_ratio run the grid
-# search.
+# Reference for lemma 3's threshold search: a 10,001-point grid with the
+# exact candidates added.  analysis._threshold_candidates keeps only the
+# exact candidates, the ends and the knots; with this set patched in,
+# find_threshold_witness and min_threshold_ratio run the grid search.  The
+# grid cannot win: between two atoms Pr(X < t) is constant and t - ln p
+# rises with t, an order that rounded subtraction keeps.
 
 _GRID_POINTS = 10_001
 
 
 def reference_threshold_candidates(dist, t_lo, t_hi):
-    """Grid plus just-above-atom (and support-edge) probe points in [t_lo, t_hi]."""
-    delta = 1e-9 * (1.0 + expectation(dist))
-    pts = [np.linspace(t_lo, t_hi, _GRID_POINTS)]
-    if dist.kind == "adversarial_density":
-        t_max = distx.support_max(dist)
-        knots = np.array([delta, t_max - delta, t_max, t_max + delta])
-    else:
-        knots = np.array([x + delta for x, _ in dist.atoms])
-    pts.append(knots[(knots >= t_lo) & (knots <= t_hi)])
-    cands = np.unique(np.concatenate(pts))
-    return cands
+    """The grid of [t_lo, t_hi] plus the top of the support and the double
+    just above each atom, those inside the interval."""
+    knots = np.array([distx.support_max(dist)]
+                     + [math.nextafter(x, math.inf) for x, _ in dist.atoms])
+    knots = knots[(knots >= t_lo) & (knots <= t_hi)]
+    return np.unique(np.concatenate([np.linspace(t_lo, t_hi, _GRID_POINTS), knots]))

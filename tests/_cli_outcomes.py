@@ -66,6 +66,9 @@ FIELD_PROBES = (
     ("distribution", {"kind": "discrete", "atoms": 5}),
     ("distribution", {"kind": "fixed_t_counterexample", "E": 5, "t": math.nan}),
     ("distribution", {"kind": "variance_counterexample", "E": 800, "V": 1}),
+    # A weight that rounds to 0: 1 - 1/(1 + E), and E/(t + 1) underflowing.
+    ("distribution", {"kind": "two_point", "E": 1e-17}),
+    ("distribution", {"kind": "fixed_t_counterexample", "E": 5e-324, "t": 10}),
     ("distribution", {"kind": "cauchy"}),
     ("schedule", {"kind": "luby", "unit": [1]}), ("schedule", {"kind": ["fixed"]}),
     ("schedule", {"kind": "luby"}), ("schedule", {"kind": "single_threshold", "t": 500}),

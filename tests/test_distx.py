@@ -375,6 +375,15 @@ def test_expected_runtime_recovered_at_huge_budget():
         assert m == pytest.approx(expectation_exp(model.dist), rel=1e-9)
 
 
+@pytest.mark.parametrize("law", distx.LAWS)
+@pytest.mark.parametrize("dist", [two_point(4.0), adversarial_density(5.0), constant(0.0)],
+                         ids=lambda d: d.label)
+def test_runtime_stats_at_an_infinite_budget_runs_to_completion(dist, law):
+    q, m, p = runtime_stats(RuntimeModel(dist, law), math.inf)
+    assert q == 0.0 and p == 1.0
+    assert m == pytest.approx(expectation_exp(dist), rel=1e-12)
+
+
 def test_runtime_stats_adversarial_geometric_vs_riemann():
     e = 5.0
     model = RuntimeModel(adversarial_density(e), "geometric")

@@ -194,8 +194,6 @@ _EDGE_VALUES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324,
 @pytest.mark.parametrize("value", _EDGE_VALUES, ids=repr)
 @pytest.mark.parametrize("kind, field", _NUMERIC_FIELDS, ids=str)
 def test_edge_values_are_refused_or_build_a_finite_distribution(kind, field, value):
-    # Weights are not checked: two_point(E) keeps a zero-weight top atom for
-    # E below about 1e-16, where 1 - 1/(1 + E) rounds to 0.
     spec = {"kind": kind, **_BASE_SPECS[kind]}
     if kind == "discrete":
         atoms = [list(atom) for atom in spec["atoms"]]
@@ -208,5 +206,6 @@ def test_edge_values_are_refused_or_build_a_finite_distribution(kind, field, val
     except ValueError:
         return
     assert all(math.isfinite(x) for x, _ in dist.atoms), dist
+    assert all(p > 0.0 for _, p in dist.atoms), dist
     assert math.isfinite(distx.support_max(dist)), dist
     assert math.isfinite(distx.expectation(dist)), dist
