@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import distx, starfn
 from .distx import DistX, RuntimeModel, cdf, cdf_strict, expectation, runtime_stats
@@ -44,8 +44,7 @@ class TailNotConvergent(RuntimeError):
     within the attempt cap, or a closed form it cannot trust."""
 
 
-@dataclass(frozen=True)
-class CostEstimate:
+class CostEstimate(NamedTuple):
     """Expected total cost with a certified truncation remainder.
 
     When finite, the true expected cost lies in
@@ -61,8 +60,7 @@ class CostEstimate:
         return self.expected_cost + self.tail_bound
 
 
-@dataclass(frozen=True)
-class LemmaVerdict:
+class LemmaVerdict(NamedTuple):
     """Outcome of one analytic check; margin is the slack of the inequality."""
 
     check: str

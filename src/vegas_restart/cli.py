@@ -18,7 +18,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import analysis, distx, engine, schedules, verify
 from .analysis import TailNotConvergent, analytic_cost
@@ -59,7 +59,7 @@ SWEEP_COLUMNS = [
     "excess_log_cost",
 ]
 
-VERIFY_COLUMNS = [f.name for f in fields(verify.VerdictRow)]
+VERIFY_COLUMNS = list(verify.VerdictRow._fields)
 
 # The most values of E one sweep may visit, floor((stop - start) / step) + 1.
 # Rows are kept in memory until they are sorted.  At this cap a two_point
@@ -75,8 +75,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     distribution: dict
     law: str
     schedule: dict
@@ -88,30 +87,32 @@ class ExperimentConfig:
     cap_trip_threshold: float = 0.0
 
 
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
-_CAPS_FIELDS = {f.name for f in fields(Caps)}
+_CONFIG_FIELDS = set(ExperimentConfig._fields)
+_CAPS_FIELDS = set(Caps._fields)
 
 
 def _numbers(obj: dict, cls) -> dict:
-    """Each int and float field of dataclass cls, read from obj or its default.
+    """Each field of the named tuple cls whose default is an int or a float,
+    read from obj or that default and converted to the default's type.
 
     A boolean is not a number, and an int field refuses a fraction rather
     than truncate it.
     """
     numbers = {}
-    for f in fields(cls):
-        if f.type not in ("int", "float"):
+    for name, default in cls._field_defaults.items():
+        kind = type(default)
+        if kind not in (int, float):
             continue
-        value = obj.get(f.name, f.default)
+        value = obj.get(name, default)
         try:
-            number = int(value) if f.type == "int" else float(value)
+            number = kind(value)
         except (TypeError, ValueError, OverflowError):
             number = None
         if number is None or isinstance(value, bool):
-            raise ConfigError(f"{f.name} must be a number, got {value!r}")
-        if f.type == "int" and isinstance(value, float) and number != value:
-            raise ConfigError(f"{f.name} must be a whole number, got {value!r}")
-        numbers[f.name] = number
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if kind is int and isinstance(value, float) and number != value:
+            raise ConfigError(f"{name} must be a whole number, got {value!r}")
+        numbers[name] = number
     return numbers
 
 
@@ -137,7 +138,7 @@ def parse_config(obj) -> list[ExperimentConfig]:
                 raise ConfigError(f"config is missing required field {required!r}")
         if entry["law"] not in distx.LAWS:
             raise ConfigError(f"law must be one of {distx.LAWS}, got {entry['law']!r}")
-        mode = entry.get("mode", ExperimentConfig.mode)
+        mode = entry.get("mode", ExperimentConfig._field_defaults["mode"])
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
         numbers = _numbers(entry, ExperimentConfig)
@@ -193,8 +194,11 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None) 
             buf.write("\n")
     text = buf.getvalue()
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -260,9 +264,9 @@ def _resolved_configs(args):
     """Each config of --config with --seed/--trials applied, resolved in turn."""
     for cfg in _load_config_file(args.config):
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = cfg._replace(seed=args.seed)
         if args.trials is not None:
-            cfg.trials = args.trials
+            cfg = cfg._replace(trials=args.trials)
         _check_trials(cfg.trials)
         dist, model, (sched,) = _resolve(cfg.distribution, cfg.law, [cfg.schedule])
         yield cfg, dist, model, sched
@@ -316,7 +320,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     verdicts = verify.run_scope(args.scope)
-    rows = [{**vars(v), "holds": int(v.holds)} for v in verdicts]
+    rows = [{**v._asdict(), "holds": int(v.holds)} for v in verdicts]
     _emit(rows, VERIFY_COLUMNS, args.format, args.out)
     failures = [v for v in verdicts if not v.holds]
     n = len(verdicts)
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedules", required=True, help="comma list, e.g. fixed,universal")
     p.add_argument("--law", default="deterministic", choices=distx.LAWS)
     p.add_argument("--t", default=None, help="threshold expression for fixed_t families, e.g. 2E")
-    p.add_argument("--eps-tail", type=float, default=ExperimentConfig.eps_tail)
+    p.add_argument("--eps-tail", type=float, default=ExperimentConfig._field_defaults["eps_tail"])
     add_io(p)
     p.set_defaults(fn=cmd_sweep)
 

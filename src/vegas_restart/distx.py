@@ -15,7 +15,7 @@ import bisect
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Support values are capped so exp(x) and the largest schedule budgets stay
 # inside double range.
@@ -28,19 +28,20 @@ _ULP_SCALE = 1 << 1074
 LAWS = ("deterministic", "geometric")
 
 
-@dataclass(frozen=True)
-class DistX:
+class _DistXFields(NamedTuple):
+    kind: str
+    params: tuple[tuple[str, float], ...] = ()
+    atoms: tuple[tuple[float, float], ...] = ()
+    E: float = math.nan
+
+
+class DistX(_DistXFields):
     """A distribution of X: discrete atoms or the truncated-exponential density.
 
     kind "adversarial_density": density exp(x - (E+1)) on
     [0, E + 1 + ln(1 + exp(-(E+1)))], total mass exactly 1.
     Every other kind: atoms is a sorted tuple of (x, p) pairs.
     """
-
-    kind: str
-    params: tuple[tuple[str, float], ...] = ()
-    atoms: tuple[tuple[float, float], ...] = ()
-    E: float = math.nan
 
     @property
     def label(self) -> str:
@@ -65,16 +66,20 @@ class DistX:
         return tuple(x for x, _ in self.atoms), tuple(sums)
 
 
-@dataclass(frozen=True)
-class RuntimeModel:
-    """DistX paired with the conditional law generating the run cost T."""
-
+class _RuntimeModelFields(NamedTuple):
     dist: DistX
     law: str
 
-    def __post_init__(self):
-        if self.law not in LAWS:
-            raise ValueError(f"unknown runtime law {self.law!r}")
+
+class RuntimeModel(_RuntimeModelFields):
+    """DistX paired with the conditional law generating the run cost T."""
+
+    __slots__ = ()
+
+    def __new__(cls, dist: DistX, law: str):
+        if law not in LAWS:
+            raise ValueError(f"unknown runtime law {law!r}")
+        return super().__new__(cls, dist, law)
 
     @property
     def label(self) -> str:
@@ -334,16 +339,16 @@ _EULER_GAMMA = 0.5772156649015329
 _EPS = sys.float_info.epsilon
 
 
-@functools.cache
-def _even_bernoulli() -> tuple[float, ...]:
-    """B_2m / (2m)! for m = 0, ..., 18, from the Taylor series of
-    s / (e^s - 1), the rational numbers rounded once."""
-    from fractions import Fraction
-
-    b = [Fraction(1)]
-    for j in range(1, 37):
-        b.append(-sum(bi / math.factorial(j + 1 - i) for i, bi in enumerate(b)))
-    return tuple(float(x) for x in b[::2])
+# B_2m / (2m)! for m = 0, ..., 18, from the Taylor series of s / (e^s - 1),
+# each rational number rounded once; tests/test_distx.py rebuilds them.
+_EVEN_BERNOULLI = (
+    1.0, 0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+)
 
 
 def _scaled_expint(order: int, w: float) -> float:
@@ -384,7 +389,7 @@ def _gamma_series(k: float, w: float, shift: int, scale: float) -> float:
     g, j, w_j = 1.0, 1, w
     inv_k2 = 1.0 / (k * k)
     power = inv_k2
-    for m, b in enumerate(_even_bernoulli()[1:], 1):
+    for m, b in enumerate(_EVEN_BERNOULLI[1:], 1):
         while j < 2 * m - shift:
             g, j, w_j = j * g + w_j, j + 1, w_j * w
         term = (1 - 2 * m if shift else 1) * b * power * g

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from . import distx
 from .distx import DistX, RuntimeModel
@@ -22,8 +22,7 @@ from .schedules import Schedule
 from .streams import CounterStream, stream_key
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Safety limits for one schedule execution."""
 
     max_attempts: int = 10_000_000
@@ -48,16 +47,14 @@ class CapExceeded(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class AttemptOutcome:
+class AttemptOutcome(NamedTuple):
     """Result of one truncated attempt: completion flag and charged cost."""
 
     success: bool
     cost: float
 
 
-@dataclass(frozen=True)
-class ExecutionReport:
+class ExecutionReport(NamedTuple):
     """Outcome of driving one process through a schedule until first success."""
 
     success: bool
@@ -65,8 +62,7 @@ class ExecutionReport:
     attempts: int
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(NamedTuple):
     """Monte Carlo mean of total cost with its standard error."""
 
     mean: float
@@ -80,8 +76,7 @@ class MCEstimate:
 # Processes.
 
 
-@dataclass(frozen=True)
-class SamplerProcess:
+class SamplerProcess(NamedTuple):
     """Virtual process: each fresh attempt draws an independent run cost T."""
 
     model: RuntimeModel
@@ -91,8 +86,7 @@ class SamplerProcess:
         return f"sampler[{self.model.label}]"
 
 
-@dataclass(frozen=True)
-class ResumableProcess:
+class ResumableProcess(NamedTuple):
     """Step-budgeted process: factory builds a fresh instance per attempt.
 
     An instance's advance(n) consumes up to n whole steps and returns
@@ -166,8 +160,7 @@ def bitstring_guess_model(k: int) -> RuntimeModel:
 # Randomness plumbing: one stream per (seed, trial, attempt).
 
 
-@dataclass(frozen=True)
-class TrialRng:
+class TrialRng(NamedTuple):
     """Per-trial randomness: attempt j gets the stream keyed (seed, trial, j)."""
 
     seed: int

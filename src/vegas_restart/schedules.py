@@ -13,8 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import starfn
 
@@ -29,8 +28,7 @@ class ScheduleRangeError(ValueError):
     """A schedule parameter or materialized budget fell outside the guards."""
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Deterministic, lazily generated stream of positive budgets.
 
     cycle holds the repeating (count, budget) block for cyclic kinds and is

@@ -11,7 +11,7 @@ integer exact and involve no floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Coefficient of the contraction map: shrink(x) = SHRINK_FACTOR * ln(x).
 # With the value 3 the map is strictly increasing and strictly below x for
@@ -27,8 +27,7 @@ _MAX_TRACE_LEN = 200
 _TOWER_VALUES = (1, 2, 4, 16, 65536)
 
 
-@dataclass(frozen=True)
-class ShrinkTrace:
+class ShrinkTrace(NamedTuple):
     """Orbit of shrink() from start down to the first value <= 5.
 
     values[0] == start, values[i+1] == shrink(values[i]); every element but

@@ -9,7 +9,7 @@ verify command exit nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import distx, schedules, starfn
 from .analysis import (
@@ -37,8 +37,7 @@ _STARFN_GRID = (5.0, 6.0, 7.3, 16.0, 32.0, 410.0, 1e3, 1e4, 1e6, 1e9)
 _BOUNDS_EX_RANGE = (1.0, 30.0)
 
 
-@dataclass(frozen=True)
-class VerdictRow:
+class VerdictRow(NamedTuple):
     scope: str
     name: str
     holds: bool

@@ -25,6 +25,7 @@ Cases:
     family, --t on a family without t, --t E-1, bad ranges and steps);
   - verify --scope all (csv) and verify --scope bounds --format jsonl;
   - demo --trials 2000;
+  - analyze, simulate, verify and sweep with --out in a missing directory;
   - the number and threshold-expression probes (PROBES_* below), whose
     outcome differs from a commit that read a boolean as a number, truncated
     a fraction in a whole-number field, or read "2E+1" as 20.
@@ -216,6 +217,12 @@ def cases(tmp):
     yield "verify all", run(("verify", "--scope", "all", "--out", out), tmp)
     yield "verify bounds jsonl", run(("verify", "--scope", "bounds", "--format", "jsonl"), tmp)
     yield "demo", run(("demo", "--trials", "2000"), tmp)
+    unwritable = ("--out", os.path.join(tmp, "missing", "out.csv"))
+    for command in ("analyze", "simulate"):
+        yield f"{command} unwritable --out", with_config(
+            BASIC, (command, "--config", config) + unwritable)
+    yield "verify unwritable --out", run(("verify", "--scope", "starfn") + unwritable, tmp)
+    yield "sweep unwritable --out", run(SWEEPS[0] + unwritable, tmp)
     for field, value in PROBES_CONFIG:
         for command in ("analyze", "simulate"):
             key = f"probe {command} {field}={value!r}"

@@ -216,6 +216,38 @@ def test_wrong_typed_spec_values_are_config_errors(tmp_path, capsys, field, spec
     assert capsys.readouterr().err.startswith("config error: " + err)
 
 
+def test_numbers_reads_the_int_and_float_fields_of_each_record():
+    assert cli._numbers({}, cli.ExperimentConfig) == {
+        "trials": 100_000, "seed": 42, "eps_tail": 1e-10, "cap_trip_threshold": 0.0,
+    }
+    assert cli._numbers({}, cli.Caps) == {"max_attempts": 10_000_000, "max_total_cost": 1e300}
+    read = cli._numbers({"trials": 7.0, "seed": "3", "eps_tail": 1, "cap_trip_threshold": 0},
+                        cli.ExperimentConfig)
+    assert [type(read[name]) for name in ("trials", "seed", "eps_tail", "cap_trip_threshold")] \
+        == [int, int, float, float]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--config", "CONFIG"],
+        ["simulate", "--config", "CONFIG", "--trials", "50"],
+        ["verify", "--scope", "starfn"],
+        ["sweep", "--family", "two_point", "--e-start", "5", "--e-stop", "6",
+         "--schedules", "fixed"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, argv):
+    argv = [write_config(tmp_path, BASIC) if a == "CONFIG" else a for a in argv]
+    out = tmp_path / "missing" / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write {out}: ")
+    assert "No such file or directory" in captured.err
+
+
 def test_config_list_and_jsonl(tmp_path, capsys):
     cfg = write_config(tmp_path, [BASIC, {**BASIC, "law": "geometric"}])
     assert main(["analyze", "--config", cfg, "--format", "jsonl"]) == 0

@@ -1,7 +1,9 @@
 """Cold start: no subcommand loads scipy, and none loads numpy: the oracle
 (analyze, sweep, verify) on any model, simulate, whose processes are all
 samplers, and demo and Monte Carlo on the stepped processes all run with
-numpy blocked."""
+numpy blocked.  Importing the package and running analyze and simulate on
+the density under the geometric law loads none of dataclasses, inspect,
+fractions and decimal either."""
 
 import csv
 import os
@@ -50,6 +52,43 @@ def test_import_and_demo_do_not_load_scipy(tmp_path):
     assert proc.stdout.count("PASS") == 2
     assert "adversarial_density" in (tmp_path / "a.csv").read_text()
     assert "adversarial_density" in (tmp_path / "s.csv").read_text()
+
+
+_RUN_WITHOUT_SLOW_IMPORTS = """
+import json, sys
+from pathlib import Path
+before = set(sys.modules)
+import vegas_restart
+from vegas_restart import cli
+tmp = Path(sys.argv[1])
+cfg = tmp / "adv.json"
+cfg.write_text(json.dumps({
+    "distribution": {"kind": "adversarial_density", "E": 5},
+    "law": "geometric",
+    "schedule": {"kind": "two_threshold"},
+    "trials": 200,
+    "seed": 1,
+}))
+assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp / "a.csv")]) == 0
+assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp / "s.csv")]) == 0
+slow = {"dataclasses", "inspect", "fractions", "decimal"}
+print(sorted(slow & (set(sys.modules) - before)))
+"""
+
+
+def test_import_analyze_and_simulate_load_no_slow_standard_modules(tmp_path):
+    # A module a site hook loaded before the import is not counted.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_SLOW_IMPORTS, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    for name in ("a.csv", "s.csv"):
+        assert "adversarial_density" in (tmp_path / name).read_text()
 
 
 _RUN_WITHOUT_NUMPY = """

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -87,6 +88,23 @@ def test_constructor_domain_errors():
         discrete([(0.0, 0.5), (0.0, 0.5)])  # duplicate positions
     with pytest.raises(ValueError):
         discrete([(1.0, 1.5)])  # probability outside (0, 1]
+
+
+def test_runtime_model_refuses_an_unknown_law():
+    with pytest.raises(ValueError, match="unknown runtime law 'bogus'"):
+        RuntimeModel(two_point(4.0), "bogus")
+
+
+def test_even_bernoulli_constants_are_the_rounded_rationals():
+    # B_j / j! from the Taylor series of s / (e^s - 1), in exact rationals:
+    # sum_{i<=j} B_i / (j + 1 - i)! = 0 for j >= 1.  Each even term is
+    # rounded once.
+    b = [Fraction(1)]
+    for j in range(1, 37):
+        b.append(-sum(bi / math.factorial(j + 1 - i) for i, bi in enumerate(b)))
+    reference = tuple(float(x) for x in b[::2])
+    assert len(distx._EVEN_BERNOULLI) == len(reference) == 19
+    assert [repr(x) for x in distx._EVEN_BERNOULLI] == [repr(x) for x in reference]
 
 
 def test_build_distribution_dispatch_and_validation():

@@ -322,6 +322,23 @@ def test_mc_cap_counting_mode():
     assert est.n_capped == 10
 
 
+def test_records_refuse_field_assignment():
+    model = RuntimeModel(two_point(4.0), "geometric")
+    sched = two_threshold_schedule(4.0)
+    est = mc_expected_cost(SamplerProcess(model), sched, trials=10, seed=1)
+    records = (
+        (analysis.analytic_cost(model, sched), "expected_cost"),
+        (model.dist, "kind"),
+        (sched, "cycle"),
+        (est, "mean"),
+    )
+    for record, field in records:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) == before, type(record).__name__
+
+
 def test_mc_validates_arguments():
     proc = SamplerProcess(RuntimeModel(constant(0.0), "deterministic"))
     with pytest.raises(ValueError):
