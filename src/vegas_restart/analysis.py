@@ -65,8 +65,8 @@ class LemmaVerdict(NamedTuple):
 
     check: str
     holds: bool
-    witness: object = None
-    margin: float = math.nan
+    witness: object
+    margin: float
     detail: str = ""
 
 

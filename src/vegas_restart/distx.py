@@ -32,7 +32,7 @@ class _DistXFields(NamedTuple):
     kind: str
     params: tuple[tuple[str, float], ...] = ()
     atoms: tuple[tuple[float, float], ...] = ()
-    E: float = math.nan
+    E: float | None = None
 
 
 class DistX(_DistXFields):
@@ -301,18 +301,14 @@ def expectation_exp(dist: DistX) -> float:
 
 
 def sample_x(dist: DistX, rng) -> float:
-    """One draw of X; rng needs a random() method returning a float in [0, 1)."""
+    """One draw of X; rng.random() must return a float in [0, 1).  An atom draw
+    bisects cdf's prefixes between atoms: x with cdf_strict(x) <= u < cdf(x)."""
     if dist.kind == "adversarial_density":
         a, _ = _adv_consts(dist)
         u = 1.0 - rng.random()  # in (0, 1]
         return dist.E + 1.0 + math.log(u + a)
-    u = rng.random()
-    acc = 0.0
-    for x, p in dist.atoms:
-        acc += p
-        if u < acc:
-            return x
-    return dist.atoms[-1][0]
+    xs, prefixes = dist.atom_prefixes
+    return xs[bisect.bisect_right(prefixes, rng.random(), 1, len(xs)) - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,12 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+_KEY_START = mix64(_GOLDEN)
+
+
 def stream_key(*words: int) -> int:
     """Derive a 64-bit stream key from integer words (order-sensitive)."""
-    key = mix64(_GOLDEN)
+    key = _KEY_START
     for i, w in enumerate(words):
         salt = _WORD_SALTS[i % len(_WORD_SALTS)]
         key = mix64(key ^ ((int(w) * salt) & _MASK))

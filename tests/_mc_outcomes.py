@@ -18,6 +18,10 @@ Cases:
   - the benchmark's one long pair, variance_counterexample(5, 10) x
     specific_E(5), at its real 100 000 trials and seed 42, so that every
     level of the pairwise tree, up to a 49 152-term half, sums real costs;
+  - a four-atom set, discrete 0.1, 0.2, 0.3, 0.4 at 0, 1, 2, 3, under both
+    laws (FOUR_ATOM_PAIRS below) with the same seeds and trial counts, so
+    that a draw past the third atom is checked: up to three atoms the
+    atom draw cannot tell a running float sum from the prefix table;
   - two_point(4) x deterministic x single_threshold(0) at max_attempts 2, so
     that some trials trip the cap and are counted;
   - the two stepped processes, geometric_coin[constant(5)] and
@@ -56,6 +60,9 @@ SAMPLER_PAIRS = (
     ({"kind": "two_point", "E": 16}, "geometric", {"kind": "universal"}),
     ({"kind": "two_point", "E": 8}, "geometric", {"kind": "luby", "unit": 1}),
 )
+_FOUR_ATOMS = {"kind": "discrete", "atoms": [[0, 0.1], [1, 0.2], [2, 0.3], [3, 0.4]]}
+FOUR_ATOM_PAIRS = tuple((_FOUR_ATOMS, law, {"kind": "universal"})
+                        for law in ("deterministic", "geometric"))
 SEEDS = (1, 42, 12345)
 TRIALS = (2, 7, 8, 9, 128, 129, 257, 8193)
 STEPPED_TRIALS = (2, 9, 129, 1000)
@@ -84,7 +91,7 @@ def sampler_cases(pair, seeds, trial_counts):
 
 def cases():
     """(key, outcome) of every case, in a fixed order."""
-    for pair in SAMPLER_PAIRS:
+    for pair in SAMPLER_PAIRS + FOUR_ATOM_PAIRS:
         yield from sampler_cases(pair, SEEDS, TRIALS)
     yield from sampler_cases(LONG_PAIR, (LONG_SEED,), (LONG_TRIALS,))
     capped = engine.SamplerProcess(RuntimeModel(distx.two_point(4.0), "deterministic"))

@@ -1,5 +1,7 @@
 import math
+import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -95,6 +97,14 @@ def test_runtime_model_refuses_an_unknown_law():
         RuntimeModel(two_point(4.0), "bogus")
 
 
+@pytest.mark.parametrize("dist", [two_point(4.0), adversarial_density(5.0)], ids=["atoms", "density"])
+def test_runtime_model_survives_a_pickle_round_trip(dist):
+    model = RuntimeModel(dist, "geometric")
+    back = pickle.loads(pickle.dumps(model))
+    assert back == model
+    assert hash(back) == hash(model)
+
+
 def test_even_bernoulli_constants_are_the_rounded_rationals():
     # B_j / j! from the Taylor series of s / (e^s - 1), in exact rationals:
     # sum_{i<=j} B_i / (j + 1 - i)! = 0 for j >= 1.  Each even term is
@@ -186,8 +196,8 @@ def test_cdf_strict_nondecreasing():
 
 
 @st.composite
-def _atom_sets(draw):
-    n = draw(st.integers(min_value=1, max_value=50))
+def _atom_sets(draw, max_atoms=50):
+    n = draw(st.integers(min_value=1, max_value=max_atoms))
     xs = draw(st.lists(st.floats(min_value=0.0, max_value=300.0), min_size=n, max_size=n,
                        unique=True))
     # Weights over six decades, so that the prefixes need fsum's rounding.
@@ -268,6 +278,36 @@ def test_sample_x_constant():
     d = constant(7.0)
     rng = stream(1)
     assert all(sample_x(d, rng) == 7.0 for _ in range(100))
+
+
+def _check_draw_follows_the_cdf(d, u):
+    xs, prefixes = d.atom_prefixes
+    x = sample_x(d, SimpleNamespace(random=lambda: u))
+    if u >= prefixes[-1]:
+        assert x == xs[-1]
+    else:
+        assert cdf_strict(d, x) <= u < cdf(d, x)
+
+
+# A running float sum of these weights reads 0.6000000000000001 after three
+# atoms, where cdf(2) reads 0.6, so a running-sum draw at u = 0.6 returns 2.
+_FOUR_ATOMS = discrete([(0.0, 0.1), (1.0, 0.2), (2.0, 0.3), (3.0, 0.4)])
+
+
+@pytest.mark.parametrize("u", sorted({v for p in _FOUR_ATOMS.atom_prefixes[1]
+                                      for v in (p, math.nextafter(p, 0.0)) if v < 1.0}))
+def test_sample_x_draws_the_atom_whose_cdf_step_holds_u(u):
+    _check_draw_follows_the_cdf(_FOUR_ATOMS, u)
+
+
+# The example's weights total 1 - 1e-13, so u past the total draws the last atom.
+@given(_atom_sets(max_atoms=8), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@example(discrete([(0.0, 0.5), (1.0, 0.4999999999999)]), 0.99999999999995)
+@settings(max_examples=200, deadline=None)
+def test_sample_x_follows_the_cdf_on_random_atom_sets(d, u):
+    edges = [v for p in d.atom_prefixes[1] for v in (p, math.nextafter(p, 0.0)) if v < 1.0]
+    for v in edges + [u]:
+        _check_draw_follows_the_cdf(d, v)
 
 
 def test_sample_x_two_point_mean():

@@ -132,7 +132,7 @@ CASES = [
 def test_every_spec_kind_builds_its_constructor_and_refuses_bad_fields(
     build, spec, built, short, short_msg, long, long_msg
 ):
-    # repr, not ==: an atom distribution's E is NaN
+    # repr, not ==: repr also tells 1 from 1.0 and 0.0 from -0.0
     assert repr(build(spec)) == repr(built)
     if short is not None:
         with pytest.raises(ValueError) as exc:
