@@ -10,8 +10,10 @@ exist to prove the attempt interface against the sampler algebra.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
+from collections import defaultdict
 from functools import reduce
 from operator import add
 from typing import NamedTuple
@@ -31,9 +33,15 @@ class Caps(NamedTuple):
 
 def default_caps(e_hint: float | None = None) -> Caps:
     """Default caps; with a hint e_hint on the largest value of X, such as
-    distx.support_max(dist), the cost cap becomes exp(e_hint + 20)."""
+    distx.support_max(dist), the cost cap becomes exp(e_hint + 20).
+
+    X >= 0 for every distribution, so a NaN or negative hint is refused: NaN
+    would give a cap that never trips, a negative one a cap below one attempt.
+    """
     if e_hint is None:
         return Caps()
+    if not float(e_hint) >= 0.0:
+        raise ValueError(f"e_hint bounds X >= 0, so it must be >= 0, got {e_hint!r}")
     exponent = float(e_hint) + 20.0
     return Caps(max_total_cost=1e300 if exponent >= 690.0 else math.exp(exponent))
 
@@ -235,7 +243,10 @@ def mc_expected_cost(
     Trial i uses streams keyed (seed, i, attempt), so the result depends only
     on those keys and is bit-for-bit reproducible for a fixed seed.  With
     on_cap="count", trials that trip a cap contribute their accrued cost and
-    are tallied in n_capped instead of raising.
+    are tallied in n_capped instead of raising.  The costs are handed to a
+    _TrialCosts 4096 at a time: one byte a trial while they take at most 256
+    distinct values, eight from the first 257th value on; the mean and SE
+    are the same bits in either form.
     """
     trials = int(trials)
     if trials < 2:
@@ -243,32 +254,84 @@ def mc_expected_cost(
     if on_cap not in ("raise", "count"):
         raise ValueError(f"on_cap must be 'raise' or 'count', got {on_cap!r}")
     caps = caps or Caps()
-    costs = array("d")
+    costs = _TrialCosts()
     n_capped = 0
-    for trial in range(trials):
-        try:
-            report = run_with_schedule(process, schedule, TrialRng(seed, trial), caps)
-        except CapExceeded as exc:
-            if on_cap == "raise":
-                raise
-            report = exc.report
-            n_capped += 1
-        costs.append(report.total_cost)
+    for start in range(0, trials, _BLOCK):
+        block = array("d")
+        for trial in range(start, min(start + _BLOCK, trials)):
+            try:
+                report = run_with_schedule(process, schedule, TrialRng(seed, trial), caps)
+            except CapExceeded as exc:
+                if on_cap == "raise":
+                    raise
+                report = exc.report
+                n_capped += 1
+            block.append(report.total_cost)
+        costs.extend(block)
     mean, std_error = _mean_and_std_error(costs)
     return MCEstimate(mean, std_error, trials, int(seed), n_capped)
 
 
-def _mean_and_std_error(costs: array) -> tuple[float, float]:
+_BLOCK = 4096
+
+
+class _TrialCosts:
+    """The trial costs of one MC run, in trial order, read by len and slice.
+
+    While the costs take at most 256 distinct values they are kept as one
+    byte per trial, a code into the table of those values; on atom models a
+    trial's cost is a partial sum of the schedule's failed budgets plus one
+    run's cost, so costs repeat.  The first block that brings a 257th value
+    decodes the codes so far, once, into a plain array('d'), which then takes
+    every later cost.  A block is encoded by C-level calls: bytes() refuses
+    the code 256, and that refusal is the switch.
+
+    Keying the table by value is exact here: a trial's cost starts at 0.0 and
+    adds non-negative charges, so it is never -0.0 (which would share the key
+    of 0.0) or NaN (which equals no key), and equal keys are equal bits.
+    """
+
+    def __init__(self):
+        self._code = defaultdict(itertools.count().__next__)
+        self._table = ()
+        self._codes = bytearray()
+        self._costs = None
+
+    def __len__(self) -> int:
+        return len(self._codes) if self._costs is None else len(self._costs)
+
+    def __getitem__(self, part: slice):
+        if self._costs is None:
+            table = self._table  # indexed in a comprehension: faster than map
+            return [table[code] for code in self._codes[part]]
+        return self._costs[part]
+
+    def extend(self, block: array) -> None:
+        if self._costs is None:
+            try:
+                self._codes += bytes(map(self._code.__getitem__, block))
+                self._table = tuple(self._code)
+                return
+            except ValueError:
+                self._costs = array("d", map(self._table.__getitem__, self._codes))
+                self._code = self._table = self._codes = None
+        self._costs.extend(block)
+
+
+def _mean_and_std_error(costs) -> tuple[float, float]:
     """np.mean(costs) and np.std(costs, ddof=1) / sqrt(n), bit for bit, n >= 2."""
     n = len(costs)
     mean = _pairwise_sum(costs) / n
     return mean, math.sqrt(_pairwise_sum(costs, mean) / (n - 1)) / math.sqrt(n)
 
 
-def _pairwise_sum(a: array, centre=None, lo: int = 0, hi: int | None = None) -> float:
+def _pairwise_sum(a, centre=None, lo: int = 0, hi: int | None = None) -> float:
     """Sum of a[lo:hi], or of its (c - centre) * (c - centre), which overflow
     to inf as numpy's squares do, in the order of numpy's float64 add.reduce,
     whose pairwise sums set the MC mean and SE bits, without loading numpy.
+    a is an array('d') or a _TrialCosts; either is read only by len and by
+    leaf slices of at most 128 costs in order, so a coded store yields the
+    same doubles as the array would.
 
     Below 8 terms a left-to-right sum from 0.0; up to 128, eight strided
     accumulators combined pairwise, then the tail one by one; above 128, two

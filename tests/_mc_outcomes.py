@@ -18,6 +18,14 @@ Cases:
   - the benchmark's one long pair, variance_counterexample(5, 10) x
     specific_E(5), at its real 100 000 trials and seed 42, so that every
     level of the pairwise tree, up to a 49 152-term half, sums real costs;
+  - runs whose costs cross engine's 256-value limit for one-byte costs, at
+    seed 42 (SWITCH_CASES below): constant(3.5) x geometric x
+    single_threshold(2), whose first 39 351 trials hold exactly 256 distinct
+    costs and whose trial 39 351 brings the 257th, at 39 351 trials (ends
+    coded), 39 352 (switches on its last trial) and 40 000 (switches in its
+    tenth 4096-cost block); and two_point(4) x geometric x two_threshold(4)
+    at 30 000 trials, 666 distinct costs, the 257th at trial 1 826, inside
+    the first block;
   - a four-atom set, discrete 0.1, 0.2, 0.3, 0.4 at 0, 1, 2, 3, under both
     laws (FOUR_ATOM_PAIRS below) with the same seeds and trial counts, so
     that a draw past the third atom is checked: up to three atoms the
@@ -69,6 +77,12 @@ STEPPED_TRIALS = (2, 9, 129, 1000)
 STEPPED_BUDGETS, BUDGET_TRIALS = (1, 63, 65, 4097), (2, 9, 129)
 LONG_PAIR = SAMPLER_PAIRS[11]
 LONG_TRIALS, LONG_SEED = 100_000, 42
+SWITCH_CASES = (
+    (({"kind": "constant", "c": 3.5}, "geometric", {"kind": "single_threshold", "t": 2}),
+     (39_351, 39_352, 40_000)),
+    (({"kind": "two_point", "E": 4}, "geometric", {"kind": "two_threshold", "EX": 4}),
+     (30_000,)),
+)
 
 
 def outcome(process, schedule, trials, seed, caps=None, on_cap="raise"):
@@ -94,6 +108,8 @@ def cases():
     for pair in SAMPLER_PAIRS + FOUR_ATOM_PAIRS:
         yield from sampler_cases(pair, SEEDS, TRIALS)
     yield from sampler_cases(LONG_PAIR, (LONG_SEED,), (LONG_TRIALS,))
+    for pair, trial_counts in SWITCH_CASES:
+        yield from sampler_cases(pair, (LONG_SEED,), trial_counts)
     capped = engine.SamplerProcess(RuntimeModel(distx.two_point(4.0), "deterministic"))
     sched = schedules.single_threshold_schedule(0.0)
     for seed in SEEDS:

@@ -26,6 +26,7 @@ from vegas_restart.engine import (
 )
 from vegas_restart.schedules import (
     single_threshold_schedule,
+    specific_e_schedule,
     two_threshold_schedule,
     universal_schedule,
 )
@@ -402,6 +403,87 @@ def test_std_error_makes_no_per_trial_array():
     assert peak < 64 * 1024
 
 
+def _fed(costs, block):
+    """A _TrialCosts handed costs `block` at a time, as mc_expected_cost does."""
+    store = engine._TrialCosts()
+    for start in range(0, len(costs), block):
+        store.extend(costs[start:start + block])
+    return store
+
+
+# Among the pools' doubles: zero, subnormals, the smallest normal, 1e300,
+# whose squared deviations overflow, and inf, whose deviations are NaN.
+_SPECIAL_COSTS = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300, math.inf)
+
+
+@given(
+    n=st.integers(2, 9000),
+    pool_size=st.integers(1, 300),
+    block=st.sampled_from((1, 7, 128, 1000, 4096)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=9000, pool_size=300, block=4096, seed=0)
+@example(n=9000, pool_size=256, block=4096, seed=1)
+@example(n=8200, pool_size=257, block=1000, seed=2)
+@settings(max_examples=40, deadline=None)
+def test_trial_costs_keep_the_bits_of_an_array(n, pool_size, block, seed):
+    # Costs drawn from a pool of doubles cross the 256-value limit or not,
+    # in any block; the mean and SE are the array's and numpy's bits either way.
+    rng = random.Random(seed)
+    pool = list(_SPECIAL_COSTS) + [rng.random() * 10.0 ** rng.randint(-320, 300)
+                                   for _ in range(pool_size)]
+    rng.shuffle(pool)
+    pool = pool[:pool_size]
+    costs = array("d", (rng.choice(pool) for _ in range(n)))
+    store = _fed(costs, block)
+    assert len(store) == n
+    assert (store._costs is None) == (len(set(costs)) <= 256)
+    got = repr(engine._mean_and_std_error(store))
+    assert got == repr(engine._mean_and_std_error(costs))
+    assert got == repr(_numpy_mean_and_std_error(costs))
+
+
+def _costs_with_new_value_at(n, at):
+    """n costs over 256 values, all seen before index at, which brings a 257th."""
+    values = [0.1 * i + 1e-3 for i in range(257)]
+    return array("d", (values[256] if i == at else values[i % (256 if i < at else 257)]
+                       for i in range(n)))
+
+
+@pytest.mark.parametrize("n, at", [
+    (8200, None),   # exactly 256 values: stays coded
+    (8200, 4096),   # the 257th value is the first cost of the second block
+    (3000, 1061),   # mid-leaf, inside the first block
+    (9000, 8500),   # in the last, partial block
+    (8200, 5000),   # past the 4096-cost half of the pairwise sum
+])
+def test_trial_costs_switch_at_the_257th_value(n, at):
+    costs = _costs_with_new_value_at(n, n if at is None else at)
+    store = _fed(costs, 4096)
+    assert (store._costs is None) == (at is None)
+    assert list(store[0:n]) == list(costs)
+    assert list(store[at or 0:n - 3]) == list(costs[at or 0:n - 3])
+    got = repr(engine._mean_and_std_error(store))
+    assert got == repr(engine._mean_and_std_error(costs))
+    assert got == repr(_numpy_mean_and_std_error(costs))
+
+
+def test_mc_keeps_a_byte_per_trial_while_costs_repeat():
+    # 20 000 costs over 3 values: one byte a trial plus a 4096-cost block,
+    # where an array of every cost took 172 808 B.
+    dist = distx.variance_counterexample(5.0, 10.0)
+    proc = SamplerProcess(RuntimeModel(dist, "deterministic"))
+    caps = default_caps(e_hint=distx.support_max(dist))
+    sched = specific_e_schedule(5.0)
+    tracemalloc.start()
+    try:
+        mc_expected_cost(proc, sched, trials=20_000, seed=42, caps=caps, on_cap="count")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 @pytest.mark.parametrize("law", distx.LAWS)
 def test_mc_mean_and_std_error_are_numpys_on_the_trial_costs(law):
     proc = SamplerProcess(RuntimeModel(distx.adversarial_density(5.0), law))
@@ -417,6 +499,13 @@ def test_default_caps_hint():
     assert caps.max_total_cost == pytest.approx(math.exp(25.0))
     assert default_caps().max_total_cost == 1e300
     assert default_caps(e_hint=800.0).max_total_cost == 1e300
+    assert default_caps(e_hint=math.inf).max_total_cost == 1e300
+    assert default_caps(e_hint=0.0).max_total_cost == pytest.approx(math.exp(20.0))
+    # X >= 0, so no distribution has these: NaN would give a cap that never
+    # trips, a negative hint one that trips after the first failed attempt.
+    for e_hint in (math.nan, -math.inf, -30.0):
+        with pytest.raises(ValueError):
+            default_caps(e_hint=e_hint)
 
 
 # ---------------------------------------------------------------------------
