@@ -260,8 +260,12 @@ def _check_trials(trials: int) -> None:
         raise ConfigError(f"trials must be >= 2, got {trials}")
 
 
-def _resolved_configs(args):
-    """Each config of --config with --seed/--trials applied, resolved in turn."""
+def _run_configs(args, fill, code: int, message: str) -> int:
+    """Each config of --config, with --seed/--trials applied, as one row:
+    fill(cfg, dist, model, sched, row) adds the command's columns to the base
+    row and returns whether the config trips the command's exit code."""
+    rows = []
+    tripped = False
     for cfg in _load_config_file(args.config):
         if args.seed is not None:
             cfg = cfg._replace(seed=args.seed)
@@ -269,53 +273,40 @@ def _resolved_configs(args):
             cfg = cfg._replace(trials=args.trials)
         _check_trials(cfg.trials)
         dist, model, (sched,) = _resolve(cfg.distribution, cfg.law, [cfg.schedule])
-        yield cfg, dist, model, sched
+        row = _base_row(cfg, dist, model, sched)
+        tripped |= fill(cfg, dist, model, sched, row)
+        rows.append(row)
+    _emit(_sort_rows(rows), RESULT_COLUMNS, args.format, args.out)
+    if tripped:
+        print(f"error: {message}", file=sys.stderr)
+        return code
+    return 0
+
+
+def _analyze_row(cfg, dist, model, sched, row) -> bool:
+    est = analytic_cost(model, sched, eps_tail=cfg.eps_tail)
+    row.update(_priced(est, row["EX"]))
+    row["ratio"] = math.exp(row["excess_log_cost"])
+    row["verdicts"] = _verdict_tokens(model)
+    return math.isinf(est.expected_cost) and cfg.mode != "analyze"
+
+
+def _simulate_row(cfg, dist, model, sched, row) -> bool:
+    caps = cfg.caps or default_caps(e_hint=distx.support_max(dist))
+    estimate = mc_expected_cost(SamplerProcess(model), sched, trials=cfg.trials,
+                                seed=cfg.seed, caps=caps, on_cap="count")
+    row.update(mc_mean=estimate.mean, mc_std_error=estimate.std_error,
+               n_capped=estimate.n_capped)
+    return estimate.n_capped / cfg.trials > cfg.cap_trip_threshold
 
 
 def cmd_analyze(args) -> int:
-    rows = []
-    infinite_required_finite = False
-    for cfg, dist, model, sched in _resolved_configs(args):
-        est = analytic_cost(model, sched, eps_tail=cfg.eps_tail)
-        row = _base_row(cfg, dist, model, sched)
-        row.update(_priced(est, row["EX"]))
-        row["ratio"] = math.exp(row["excess_log_cost"])
-        row["verdicts"] = _verdict_tokens(model)
-        rows.append(row)
-        if math.isinf(est.expected_cost) and cfg.mode != "analyze":
-            infinite_required_finite = True
-    _emit(_sort_rows(rows), RESULT_COLUMNS, args.format, args.out)
-    if infinite_required_finite:
-        print("error: infinite expected cost", file=sys.stderr)
-        return 4
-    return 0
+    return _run_configs(args, _analyze_row, 4, "infinite expected cost")
 
 
 def cmd_simulate(args) -> int:
-    rows = []
-    tripped = False
-    for cfg, dist, model, sched in _resolved_configs(args):
-        caps = cfg.caps or default_caps(e_hint=distx.support_max(dist))
-        estimate = mc_expected_cost(
-            SamplerProcess(model),
-            sched,
-            trials=cfg.trials,
-            seed=cfg.seed,
-            caps=caps,
-            on_cap="count",
-        )
-        row = _base_row(cfg, dist, model, sched)
-        row["mc_mean"] = estimate.mean
-        row["mc_std_error"] = estimate.std_error
-        row["n_capped"] = estimate.n_capped
-        rows.append(row)
-        if estimate.n_capped / cfg.trials > cfg.cap_trip_threshold:
-            tripped = True
-    _emit(_sort_rows(rows), RESULT_COLUMNS, args.format, args.out)
-    if tripped:
-        print("error: cap-trip fraction exceeded the configured threshold", file=sys.stderr)
-        return 5
-    return 0
+    return _run_configs(args, _simulate_row, 5,
+                        "cap-trip fraction exceeded the configured threshold")
 
 
 def cmd_verify(args) -> int:

@@ -185,6 +185,9 @@ def variance_counterexample(E: float, V: float) -> DistX:
     v_min = 2.0 * E * E * math.exp(-E)
     if V < v_min:
         raise ValueError(f"variance_counterexample requires V >= 2E^2 exp(-E) = {v_min!r}, got {V!r}")
+    # 2E^2 e^-E underflows to 0 below E = 1.6e-162, where V = 0 would divide by 0.
+    if V <= 0.0:
+        raise ValueError(f"variance_counterexample requires V > 0, got {V!r}")
     w = math.exp(-E)
     denom = V - E * E * w
     x_top = V / (E * w)

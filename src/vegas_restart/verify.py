@@ -188,8 +188,6 @@ def verify_bounds() -> list[VerdictRow]:
     for e in (5.0, 10.0, 20.0):
         model = RuntimeModel(distx.constant(e), "deterministic")
         for t in (1.0, e - 5.0, e - 1.0):
-            if t < 0.0:
-                continue
             est = analytic_cost(model, schedules.single_threshold_schedule(t))
             rows.append(
                 _row("bounds", f"diverges constant({e:g}) t={t:g}",

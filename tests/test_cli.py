@@ -592,14 +592,18 @@ _NAN_T_ERR = "config error: fixed_t_counterexample requires t >= E, got t=nan"
         pytest.param("analyze", {"kind": "variance_counterexample", "E": 800, "V": 1},
                      "config error: variance_counterexample requires E <= 150.0, got 800.0",
                      id="analyze-variance_E800"),
+        pytest.param("analyze", {"kind": "variance_counterexample", "E": 1e-200, "V": 0},
+                     "config error: variance_counterexample requires V > 0, got 0.0",
+                     id="analyze-variance_V0"),
     ],
 )
 def test_distribution_parameters_past_their_guards_are_config_errors(
     tmp_path, capsys, command, dist, err
 ):
-    # A NaN t would build atoms at NaN, and E = 800 divide by an underflowed
-    # E e^-E.  Runs on NaN atoms never succeed, so the caps keep a
-    # simulation short should one get past the guard.
+    # A NaN t would build atoms at NaN, E = 800 divide by an underflowed
+    # E e^-E, and V = 0 at E = 1e-200 by V - E^2 e^-E = 0.  Runs on NaN
+    # atoms never succeed, so the caps keep a simulation short should one
+    # get past the guard.
     if command == "sweep":
         argv = ["sweep", "--family", "fixed_t_counterexample", "--e-start", "5",
                 "--e-stop", "5", "--schedules", "fixed", "--t", "nan"]
