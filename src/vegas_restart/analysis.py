@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import distx, starfn
 from .distx import DistX, RuntimeModel, cdf, cdf_strict, expectation, runtime_stats
-from .schedules import MAX_BLOCK_PARAM, Schedule, budget_block
+from .schedules import _UNIVERSAL_ES, Schedule, budget_block
 
 # Bound constants for the cost guarantees of the four strategies, used by the
 # verification suite.  ALG1/ALG4 come from the construction itself; ALG3 and
@@ -196,14 +196,14 @@ def _universal_rounds(model, schedule, attempt_cap):
     # For this call only: a certificate's budget is its block's closing pair.
     stats = functools.cache(lambda budget: runtime_stats(model, budget))
     seg = _EMPTY
-    for e in range(5, int(MAX_BLOCK_PARAM) + 1):
+    for e in _UNIVERSAL_ES:
         yield seg, functools.partial(_universal_tail, e, stats)
-        for seg in _fold(stats, budget_block(float(e)), seg):
+        for seg in _fold(stats, budget_block(e), seg):
             if math.exp(seg[1]) <= 0.0:
                 yield seg, lambda survival: 0.0
     raise TailNotConvergent(
         f"no tail certificate after {seg[0]} attempts of schedule {schedule.label}, "
-        f"whose blocks end at E = {MAX_BLOCK_PARAM:g}"
+        f"whose blocks end at E = {_UNIVERSAL_ES[-1]}"
     )
 
 
@@ -277,10 +277,8 @@ def find_threshold_witness(dist: DistX) -> LemmaVerdict:
     (E[X]+1) - min_t (t - ln Pr(X < t)).
     """
     ex = expectation(dist)
-    found = _min_log_ratio(dist, 0.0, ex + 1.0)
-    if found is None:
-        return LemmaVerdict("lemma3", False, None, -math.inf, "Pr(X < t) = 0 on the interval")
-    witness, log_ratio = found
+    # Never None: Pr(X < t) > 0 just above the smallest atom (<= E[X]) and at E[X] + 1 on the density.
+    witness, log_ratio = _min_log_ratio(dist, 0.0, ex + 1.0)
     margin = (ex + 1.0) - log_ratio
     return LemmaVerdict("lemma3", margin >= 0.0, witness, margin)
 

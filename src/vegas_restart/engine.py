@@ -14,14 +14,14 @@ import itertools
 import math
 from array import array
 from collections import defaultdict
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 from typing import NamedTuple
 
 from . import distx
 from .distx import DistX, RuntimeModel
 from .schedules import Schedule
-from .streams import CounterStream, stream_key
+from .streams import CounterStream, _add_word, stream_key
 
 
 class Caps(NamedTuple):
@@ -105,7 +105,17 @@ class ResumableProcess(NamedTuple):
     label: str = "resumable"
 
 
-class GeometricCoinRun:
+class _SteppedRun:
+    """A run whose step hits when its stream's next draw v = u * 2**53 is in [lo, hi)."""
+
+    def __init__(self, rng: CounterStream, lo: int, hi: int):
+        self._rng, self._lo, self._hi = rng, lo, hi
+
+    def advance(self, n: int) -> tuple[bool, int]:
+        return self._rng.first_in(n, self._lo, self._hi)
+
+
+class GeometricCoinRun(_SteppedRun):
     """Stepped run that succeeds each step with probability exp(-X).
 
     X is drawn once per instance, so fresh instances realize the memoryless
@@ -114,11 +124,7 @@ class GeometricCoinRun:
     """
 
     def __init__(self, dist: DistX, rng: CounterStream):
-        self._hi = math.ceil(math.ldexp(math.exp(-distx.sample_x(dist, rng)), 53))
-        self._rng = rng
-
-    def advance(self, n: int) -> tuple[bool, int]:
-        return self._rng.first_in(n, 0, self._hi)
+        super().__init__(rng, 0, math.ceil(math.ldexp(math.exp(-distx.sample_x(dist, rng)), 53)))
 
 
 def geometric_coin_process(dist: DistX) -> ResumableProcess:
@@ -128,7 +134,7 @@ def geometric_coin_process(dist: DistX) -> ResumableProcess:
     )
 
 
-class BitstringGuessRun:
+class BitstringGuessRun(_SteppedRun):
     """Guesses a planted k-bit string uniformly once per step.
 
     A genuine always-correct randomized search; per-step success probability
@@ -136,13 +142,8 @@ class BitstringGuessRun:
     """
 
     def __init__(self, k: int, rng: CounterStream):
-        shift = 53 - k
-        self._lo = int(rng.random() * (1 << k)) << shift
-        self._hi = self._lo + (1 << shift)
-        self._rng = rng
-
-    def advance(self, n: int) -> tuple[bool, int]:
-        return self._rng.first_in(n, self._lo, self._hi)
+        lo = int(rng.random() * (1 << k)) << (53 - k)
+        super().__init__(rng, lo, lo + (1 << (53 - k)))
 
 
 def _guess_bits(k: int) -> int:
@@ -175,7 +176,12 @@ class TrialRng(NamedTuple):
     trial: int = 0
 
     def attempt(self, index: int) -> CounterStream:
-        return CounterStream(stream_key(self.seed, self.trial, index))
+        return CounterStream(_add_word(_trial_key(self.seed, self.trial), 2, index))
+
+
+@lru_cache(maxsize=1)  # the key of (seed, trial), shared by a trial's attempts
+def _trial_key(seed: int, trial: int) -> int:
+    return stream_key(seed, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +218,7 @@ def run_with_schedule(
     """Run attempts at schedule budgets until first success or a cap trips.
 
     Attempt j draws from the stream keyed (rng.seed, rng.trial, j).  Raises
-    CapExceeded (carrying the partial report) when a cap trips.
+    CapExceeded, with the partial report, when a cap trips or the budgets end.
     """
     caps = caps or Caps()
     total = 0.0
@@ -227,7 +233,7 @@ def run_with_schedule(
             return ExecutionReport(True, total, attempts)
         if total > caps.max_total_cost:
             raise CapExceeded("max_total_cost", ExecutionReport(False, total, attempts))
-    raise RuntimeError("unreachable: schedules are infinite")
+    raise CapExceeded("schedule_end", ExecutionReport(False, total, attempts))
 
 
 def mc_expected_cost(

@@ -22,6 +22,7 @@ MAX_SINGLE_THRESHOLD = 290.0
 MAX_MEAN_PARAM = 280.0
 MAX_BLOCK_PARAM = 280.0
 _MIN_THRESHOLD = -700.0
+_UNIVERSAL_ES = range(5, int(MAX_BLOCK_PARAM) + 1)  # the bounds E of "universal"'s blocks
 
 
 class ScheduleRangeError(ValueError):
@@ -32,7 +33,7 @@ class Schedule(NamedTuple):
     """Deterministic, lazily generated stream of positive budgets.
 
     cycle holds the repeating (count, budget) block for cyclic kinds and is
-    None for the unbounded kinds ("universal", "luby").
+    None for the escalating kinds ("universal", "luby").
     """
 
     kind: str
@@ -50,14 +51,13 @@ class Schedule(NamedTuple):
         """Run-length encoded budget stream: (count, budget) pairs.
 
         The cycle, repeated, for the cyclic kinds; the block budget_block(e)
-        for e = 5, 6, ... for "universal"; and one pair (1, unit * L_i) per
-        term for "luby".
+        for e = 5, 6, ..., 280 for "universal", which then ends; and one pair
+        (1, unit * L_i) per term for "luby".
         """
         if self.cycle is not None:
             return itertools.chain.from_iterable(itertools.repeat(self.cycle))
         if self.kind == "universal":
-            # raises past the E <= MAX_BLOCK_PARAM guard
-            return itertools.chain.from_iterable(map(budget_block, itertools.count(5.0)))
+            return itertools.chain.from_iterable(map(budget_block, _UNIVERSAL_ES))
         unit = dict(self.params)["unit"]
         return ((1, unit * luby_value(i)) for i in itertools.count(1))
 
@@ -138,7 +138,7 @@ def specific_e_schedule(e: float) -> Schedule:
 def universal_schedule() -> Schedule:
     """Distribution-free escalation: blocks for e = 5, 6, 7, ... concatenated.
 
-    One block per integer e, no per-e repetition; budgets are unbounded.
+    One block per integer e up to MAX_BLOCK_PARAM, no per-e repetition.
     """
     return Schedule(kind="universal")
 

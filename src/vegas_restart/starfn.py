@@ -21,9 +21,6 @@ SHRINK_FACTOR = 3.0
 # Iteration stops at the first value <= STAR_BOUND.
 STAR_BOUND = 5.0
 
-# Trace length cap; unreachable for any representable start >= 5.
-_MAX_TRACE_LEN = 200
-
 _TOWER_VALUES = (1, 2, 4, 16, 65536)
 
 
@@ -53,8 +50,7 @@ def shrink(x: float) -> float:
 def shrink_iter(k: int, x: float) -> float:
     """k-fold application of shrink; shrink_iter(0, x) == x.
 
-    Requires x >= 5.  Raises if an intermediate value drops below 1, which
-    cannot happen while k <= star(x) + 1 but is guarded anyway.
+    Requires x >= 5.
     """
     k = int(k)
     if k < 0:
@@ -64,8 +60,6 @@ def shrink_iter(k: int, x: float) -> float:
         raise ValueError(f"shrink_iter requires finite x >= 5, got {x!r}")
     v = x
     for _ in range(k):
-        if v < 1.0:
-            raise ValueError(f"shrink iterate dropped below 1 before reaching k={k}")
         v = shrink(v)
     return v
 
@@ -77,8 +71,6 @@ def shrink_trace(x: float) -> ShrinkTrace:
         raise ValueError(f"shrink_trace requires finite x >= 5, got {x!r}")
     values = [x]
     while values[-1] > STAR_BOUND:
-        if len(values) >= _MAX_TRACE_LEN:
-            raise RuntimeError("shrink trace failed to converge; internal error")
         values.append(shrink(values[-1]))
     return ShrinkTrace(start=x, values=tuple(values))
 

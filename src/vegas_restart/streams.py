@@ -34,9 +34,12 @@ def stream_key(*words: int) -> int:
     """Derive a 64-bit stream key from integer words (order-sensitive)."""
     key = _KEY_START
     for i, w in enumerate(words):
-        salt = _WORD_SALTS[i % len(_WORD_SALTS)]
-        key = mix64(key ^ ((int(w) * salt) & _MASK))
+        key = _add_word(key, i, w)
     return key
+
+
+def _add_word(key: int, i: int, w: int) -> int:
+    return mix64(key ^ ((int(w) * _WORD_SALTS[i % len(_WORD_SALTS)]) & _MASK))
 
 
 class CounterStream:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from vegas_restart import analysis, cli, distx, schedules, starfn
+from vegas_restart import analysis, cli, distx, schedules, starfn, verify
 from vegas_restart.cli import RESULT_COLUMNS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -186,6 +186,18 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         for command in ("analyze", "simulate"):
             assert main([command, "--config", bad]) == 2, (field, value, command)
     capsys.readouterr()
+    caps_err = "caps takes fields ['max_attempts', 'max_total_cost']"
+    for obj, err in [
+        ([BASIC, 5], "config entries must be objects, got int"),
+        ({**BASIC, "mode": "fast"},
+         "mode must be one of ('analyze', 'simulate', 'both'), got 'fast'"),
+        ({**BASIC, "caps": 5}, caps_err),
+        ({**BASIC, "caps": {"max_tries": 1}}, caps_err),
+    ]:
+        bad = write_config(tmp_path, obj, name="badentry.json")
+        for command in ("analyze", "simulate"):
+            assert main([command, "--config", bad]) == 2, (obj, command)
+            assert capsys.readouterr().err == f"config error: {err}\n"
     bad = write_config(tmp_path, {**BASIC, "trials": 500.9}, name="badvalue.json")
     assert main(["simulate", "--config", bad]) == 2
     assert capsys.readouterr().err == "config error: trials must be a whole number, got 500.9\n"
@@ -214,6 +226,14 @@ def test_wrong_typed_spec_values_are_config_errors(tmp_path, capsys, field, spec
     cfg = write_config(tmp_path, {**BASIC, field: spec})
     assert main(["analyze", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: " + err)
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_seed_and_trials_flags_override_the_config(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, BASIC)
+    assert main([command, "--config", cfg, "--seed", "7", "--trials", "50"]) == 0
+    row = next(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert (row["seed"], row["trials"]) == ("7", "50")
 
 
 def test_numbers_reads_the_int_and_float_fields_of_each_record():
@@ -347,6 +367,27 @@ def test_simulate_cap_trips_exit_five(tmp_path, capsys):
     assert int(row["n_capped"]) == 20
 
 
+def test_simulate_counts_trials_past_universals_last_block_as_capped(
+    tmp_path, capsys, monkeypatch
+):
+    # Two blocks stand in for the 276 that take minutes a trial to run out.
+    monkeypatch.setattr(schedules, "_UNIVERSAL_ES", range(5, 7))
+    cfg = write_config(
+        tmp_path,
+        {
+            "distribution": {"kind": "constant", "c": 295},
+            "law": "deterministic",
+            "schedule": {"kind": "universal"},
+            "trials": 4,
+            "caps": {"max_attempts": 20_000_000},
+        },
+    )
+    assert main(["simulate", "--config", cfg]) == 5
+    captured = capsys.readouterr()
+    assert captured.err == "error: cap-trip fraction exceeded the configured threshold\n"
+    assert int(next(csv.DictReader(captured.out.splitlines()))["n_capped"]) == 4
+
+
 def test_verify_scopes_pass(tmp_path, capsys):
     for scope in ("starfn", "lemma3", "lemma5", "lemma9", "cor10"):
         assert main(["verify", "--scope", scope, "--out", str(tmp_path / f"{scope}.csv")]) == 0
@@ -375,6 +416,9 @@ def test_verify_rejects_unknown_scope(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--scope", "everything"])
     capsys.readouterr()
+    with pytest.raises(ValueError) as exc:
+        verify.run_scope("bogus")
+    assert str(exc.value) == f"unknown scope 'bogus'; choose from {verify.SCOPES}"
 
 
 def test_sweep_two_point(tmp_path):
@@ -474,24 +518,40 @@ def test_sweep_empty_schedules_is_config_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "extra",
+    "extra, err",
     [
-        ["--schedules", "fixed", "--e-step", "0"],
-        ["--schedules", "fixed", "--e-step=-1"],
-        ["--schedules", "fixed", "--eps-tail", "0"],
-        ["--schedules", "fixed", "--eps-tail=-1e-4"],
-        ["--schedules", "fixed:7"],
-        ["--schedules", "fixed", "--e-start", "nan"],
-        ["--schedules", "fixed", "--e-stop", "nan"],
-        ["--schedules", "fixed", "--eps-tail", "inf"],
-        ["--law", "geometric", "--schedules", "fixed", "--eps-tail", "inf"],
-        ["--schedules", "fixed", "--e-step", "1e-20"],
+        (["--schedules", "fixed", "--e-step", "0"], "--e-step must be positive, got 0.0"),
+        (["--schedules", "fixed", "--e-step=-1"], "--e-step must be positive, got -1.0"),
+        (["--schedules", "fixed", "--eps-tail", "0"], "--eps-tail must be positive, got 0.0"),
+        (["--schedules", "fixed", "--eps-tail=-1e-4"], "--eps-tail must be positive, got -0.0001"),
+        (["--schedules", "fixed:7"], "schedule kind 'fixed' does not take fields ['param']"),
+        (["--schedules", "fixed", "--e-start", "nan"], "sweep range must be finite, got nan to 6.0"),
+        (["--schedules", "fixed", "--e-stop", "nan"], "sweep range must be finite, got 5.0 to nan"),
+        (["--schedules", "fixed", "--eps-tail", "inf"], "--eps-tail must be finite, got inf"),
+        (["--law", "geometric", "--schedules", "fixed", "--eps-tail", "inf"],
+         "--eps-tail must be finite, got inf"),
+        (["--schedules", "fixed", "--e-step", "1e-20"],
+         "--e-step 1e-20 is too small to move E at 6.0"),
+        (["--schedules", "single_threshold:2x"], "cannot parse threshold expression '2x'"),
+        (["--schedules", "fixed", "--e-stop", "4"], "--e-stop must be >= --e-start"),
     ],
+    ids=[f"extra{i}" for i in range(12)],
 )
-def test_sweep_bad_arguments_are_config_errors(extra, capsys):
+def test_sweep_bad_arguments_are_config_errors(extra, err, capsys):
     argv = ["sweep", "--family", "two_point", "--e-start", "5", "--e-stop", "6"]
     assert main(argv + extra) == 2
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {err}\n"
+
+
+def test_sweep_luby_token_takes_an_optional_unit(capsys):
+    argv = ["sweep", "--family", "two_point", "--e-start", "4", "--e-stop", "4"]
+    assert main(argv + ["--schedules", "luby,luby:2", "--format", "jsonl"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["schedule"] for row in rows] == ["luby(unit=1)", "luby(unit=2)"]
+    model = distx.RuntimeModel(distx.two_point(4.0), "deterministic")
+    for row, unit in zip(rows, (1.0, 2.0)):
+        est = analysis.analytic_cost(model, schedules.luby_schedule(unit))
+        assert (row["analytic_cost"], row["tail_bound"]) == (est.expected_cost, est.tail_bound)
 
 
 def test_sweep_refuses_too_many_points_before_any_work(capsys, monkeypatch):

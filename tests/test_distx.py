@@ -90,6 +90,8 @@ def test_constructor_domain_errors():
         discrete([(0.0, 0.5), (0.0, 0.5)])  # duplicate positions
     with pytest.raises(ValueError):
         discrete([(1.0, 1.5)])  # probability outside (0, 1]
+    with pytest.raises(ValueError, match="^a discrete distribution needs at least one atom$"):
+        discrete([])
 
 
 def test_runtime_model_refuses_an_unknown_law():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _brute import budget_at
-from vegas_restart import analysis, distx, engine
+from vegas_restart import analysis, distx, engine, schedules
 from vegas_restart.distx import RuntimeModel, constant, two_point
 from vegas_restart.engine import (
     CapExceeded,
@@ -25,6 +26,7 @@ from vegas_restart.engine import (
     run_with_schedule,
 )
 from vegas_restart.schedules import (
+    budget_block,
     single_threshold_schedule,
     specific_e_schedule,
     two_threshold_schedule,
@@ -56,6 +58,14 @@ def test_streams_are_reproducible_and_distinct():
     s2 = stream(9)
     assert s2.first_in(4, 0, 0) == (False, 4)  # a miss moves past the four draws
     assert [s2.random() for _ in range(4)] == [s.random() for _ in range(4)]
+
+
+def test_trial_rng_keys_each_attempt_as_stream_key_of_three_words():
+    # Trials interleaved and repeated, so the key kept for the last trial is
+    # both reused and replaced.
+    for seed, trial, j in [(42, 0, 1), (42, 0, 2), (42, 1, 1), (42, 0, 3), (-5, 2**70, 0),
+                           (7, 3, 10**6), (7, 3, 1)]:
+        assert TrialRng(seed, trial).attempt(j).key == stream_key(seed, trial, j)
 
 
 # Scan lengths at the edges of first_in's chunks of 64, 128, ..., 1024 draws
@@ -160,6 +170,11 @@ def test_run_once_sampler_success_and_failure():
     assert not out.success and out.cost == 2.0
 
 
+def test_run_once_refuses_an_unknown_process_type():
+    with pytest.raises(TypeError, match="^unknown process type tuple$"):
+        run_once_truncated((), 1.0, stream(1))
+
+
 def test_run_once_rejects_nonpositive_budget():
     proc = SamplerProcess(RuntimeModel(constant(0.0), "deterministic"))
     with pytest.raises(ValueError):
@@ -245,6 +260,23 @@ def test_run_with_schedule_universal_always_succeeds():
     for trial in range(10_000):
         report = run_with_schedule(proc, sched, TrialRng(seed=4, trial=trial))
         assert report.success
+
+
+def test_run_with_schedule_trips_a_cap_when_the_budgets_end(monkeypatch):
+    # Past its last block "universal" has no budget left: each trial ends as
+    # a cap trip of its own name, counted in n_capped, not as an error.  Two
+    # blocks stand in for the 276 the real schedule runs.
+    monkeypatch.setattr(schedules, "_UNIVERSAL_ES", range(5, 7))
+    proc = SamplerProcess(RuntimeModel(constant(295.0), "deterministic"))
+    budgets = [b for e in (5.0, 6.0) for count, b in budget_block(e) for _ in range(count)]
+    *_, total = itertools.accumulate(budgets)  # the engine's order of adds
+    with pytest.raises(CapExceeded) as err:
+        run_with_schedule(proc, universal_schedule(), TrialRng(seed=1))
+    assert err.value.which == "schedule_end"
+    assert str(err.value) == f"execution cap schedule_end exceeded after {len(budgets)} attempts"
+    assert err.value.report == (False, total, len(budgets))
+    est = mc_expected_cost(proc, universal_schedule(), trials=2, seed=1, on_cap="count")
+    assert est.n_capped == 2 and est.mean == total
 
 
 def test_report_cost_identity_under_deterministic_law():

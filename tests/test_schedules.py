@@ -173,12 +173,13 @@ def test_universal_cumulative_prefix_cost_stays_geometric():
         cum += math.fsum(c * b for c, b in budget_block(float(e)))
 
 
-def test_universal_range_guard_when_materialized_too_far():
-    u = universal_schedule()
-    with pytest.raises(ScheduleRangeError):
-        for _, budget in u.groups():
-            if budget > math.exp(295.0):  # needs blocks past the guard
-                break
+def test_universal_budgets_end_after_the_last_block():
+    # The blocks stop at the range guard of budget_block instead of raising
+    # past it: the last group is the closing pair of budget_block(280).
+    groups = list(universal_schedule().groups())
+    assert groups[-1] == (2, 2.0 * math.exp(MAX_BLOCK_PARAM + 10.0))
+    assert len(groups) == sum(len(budget_block(float(e))) for e in range(5, 281))
+    assert sum(count for count, _ in groups) == 15_327_864
 
 
 def test_luby_sequence_values():
@@ -189,6 +190,8 @@ def test_luby_sequence_values():
     assert first_budgets(s, 7) == [3.0, 3.0, 6.0, 3.0, 3.0, 6.0, 12.0]
     with pytest.raises(ScheduleRangeError):
         luby_schedule(0.0)
+    with pytest.raises(ValueError, match="^luby index is 1-based, got 0$"):
+        luby_value(0)
 
 
 def test_luby_peak_gaps_are_bounded():

@@ -148,6 +148,14 @@ def test_every_spec_kind_builds_its_constructor_and_refuses_bad_fields(
         assert str(exc.value) == f"unknown {what} kind {kind!r}"
 
 
+@pytest.mark.parametrize("build, what", [(build_distribution, "distribution"),
+                                         (build_schedule, "schedule")])
+def test_a_spec_that_is_not_a_dict_is_refused(build, what):
+    with pytest.raises(ValueError) as exc:
+        build([{"kind": "constant", "c": 1}])
+    assert str(exc.value) == f"{what} spec must be a dict, got list"
+
+
 def test_distribution_field_errors_do_not_depend_on_the_hash_seed():
     code = (
         "from vegas_restart.distx import build_distribution\n"
