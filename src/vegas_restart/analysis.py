@@ -67,7 +67,6 @@ class LemmaVerdict(NamedTuple):
     holds: bool
     witness: object
     margin: float
-    detail: str = ""
 
 
 # A segment (n, ln Q, C) is a run of n attempts: its survival e**ln Q and
@@ -160,8 +159,8 @@ def _cyclic_cost(model, schedule) -> CostEstimate:
 
 
 def _universal_tail(e, stats, survival):
-    """Certificate before budget_block(e)."""
-    q_close, _, _ = stats(2.0 * math.exp(e + 10.0))
+    """Certificate before budget_block(e), priced at the block's closing budget."""
+    q_close, _, _ = stats(budget_block(e)[-1][1])
     if q_close > 0.5:
         return None
     # Every later block for bound e' >= e has survival factor at most

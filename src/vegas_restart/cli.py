@@ -116,6 +116,11 @@ def _numbers(obj: dict, cls) -> dict:
     return numbers
 
 
+def _has_bool(value) -> bool:
+    """Whether a spec value is or holds a boolean, as an atom list may."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
 def _check_eps_tail(eps_tail: float, name: str) -> None:
     if not eps_tail > 0.0:
         raise ConfigError(f"{name} must be positive, got {eps_tail!r}")
@@ -138,6 +143,10 @@ def parse_config(obj) -> list[ExperimentConfig]:
                 raise ConfigError(f"config is missing required field {required!r}")
         if entry["law"] not in distx.LAWS:
             raise ConfigError(f"law must be one of {distx.LAWS}, got {entry['law']!r}")
+        for spec in ("distribution", "schedule"):  # a constructor would read True as 1
+            fields = entry[spec] if isinstance(entry[spec], dict) else {}
+            if bad := [f for f, v in fields.items() if f != "kind" and _has_bool(v)]:
+                raise ConfigError(f"{spec} field {bad[0]!r} holds a boolean, not a number")
         mode = entry.get("mode", ExperimentConfig._field_defaults["mode"])
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")

@@ -21,8 +21,6 @@ SHRINK_FACTOR = 3.0
 # Iteration stops at the first value <= STAR_BOUND.
 STAR_BOUND = 5.0
 
-_TOWER_VALUES = (1, 2, 4, 16, 65536)
-
 
 class ShrinkTrace(NamedTuple):
     """Orbit of shrink() from start down to the first value <= 5.
@@ -31,7 +29,6 @@ class ShrinkTrace(NamedTuple):
     the last is > 5, and the last lies in (4, 5].
     """
 
-    start: float
     values: tuple[float, ...]
 
     @property
@@ -72,7 +69,7 @@ def shrink_trace(x: float) -> ShrinkTrace:
     values = [x]
     while values[-1] > STAR_BOUND:
         values.append(shrink(values[-1]))
-    return ShrinkTrace(start=x, values=tuple(values))
+    return ShrinkTrace(tuple(values))
 
 
 def shrink_star(x: float) -> int:
@@ -89,9 +86,9 @@ def tower(n: int) -> int:
     n = int(n)
     if n < 0:
         raise ValueError(f"tower requires n >= 0, got {n}")
-    if n >= len(_TOWER_VALUES):
+    if n >= 5:
         raise OverflowError(f"tower({n}) is astronomically large")
-    return _TOWER_VALUES[n]
+    return 2 ** tower(n - 1) if n else 1
 
 
 def log_star(n: int) -> int:

@@ -28,8 +28,6 @@ from .analysis import (
 )
 from .distx import RuntimeModel, expectation, zoo_distributions, zoo_models
 
-SCOPES = ("all", "starfn", "lemma3", "lemma5", "lemma9", "cor10", "bounds")
-
 _STARFN_GRID = (5.0, 6.0, 7.3, 16.0, 32.0, 410.0, 1e3, 1e4, 1e6, 1e9)
 
 # Bound checks run over zoo members whose mean lies in this window, where
@@ -214,15 +212,11 @@ _SCOPE_FNS = {
     "cor10": verify_cor10,
     "bounds": verify_bounds,
 }
+SCOPES = ("all", *_SCOPE_FNS)
 
 
 def run_scope(scope: str) -> list[VerdictRow]:
     """All verdict rows for one scope ('all' runs every scope in order)."""
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose from {SCOPES}")
-    if scope == "all":
-        rows = []
-        for name in SCOPES[1:]:
-            rows.extend(_SCOPE_FNS[name]())
-        return rows
-    return _SCOPE_FNS[scope]()
+    return [row for name, fn in _SCOPE_FNS.items() if scope in ("all", name) for row in fn()]

@@ -76,8 +76,9 @@ Cases:
   - demo --trials 2000;
   - analyze, simulate, verify and sweep with --out in a missing directory;
   - the number and threshold-expression probes (PROBES_* below), whose
-    outcome differs from a commit that read a boolean as a number, truncated
-    a fraction in a whole-number field, or read "2E+1" as 20.
+    outcome differs from a commit that read a boolean as a number (in a
+    config field, a spec field or an atom), truncated a fraction in a
+    whole-number field, or read "2E+1" as 20.
 
 The mc and cli sections fail on any case whose record differs, and the report
 prints the fields that differ.
@@ -358,11 +359,16 @@ FIELD_PROBES = (
     ("schedule", {"kind": "fixed", "param": 3}),
 )
 
-# Numeric fields given a boolean, whole-number fields given a fraction, and
-# the forms that convert exactly.
+# Numeric fields given a boolean, spec fields and atoms included, whole-number
+# fields given a fraction, and the forms that convert exactly.  Each boolean
+# probe leaves a run that can finish, so a commit that reads True as 1 ends
+# its simulate trials: the atoms hold one at 0, which any budget completes.
 PROBES_CONFIG = (
     ("seed", 1.5), ("seed", True), ("trials", 500.9), ("caps", {"max_attempts": 2.5}),
     ("eps_tail", True), ("trials", 1e3), ("seed", "7"),
+    ("distribution", {"kind": "two_point", "E": True}),
+    ("schedule", {"kind": "luby", "unit": True}),
+    ("distribution", {"kind": "discrete", "atoms": [[True, 0.5], [0, 0.5]]}),
 )
 
 SWEEP = ("sweep", "--e-start", "5", "--e-stop", "6")

@@ -18,7 +18,7 @@ from _brute import (
     reference_scan_cost,
     renewal_partial_cost,
 )
-from vegas_restart import analysis, distx
+from vegas_restart import analysis, distx, schedules
 from vegas_restart.analysis import (
     TailNotConvergent,
     analytic_cost,
@@ -286,6 +286,35 @@ def test_universal_scan_refuses_where_the_blocks_end():
                         attempt_cap=10**12)
     got = (est.expected_cost, est.tail_bound, est.attempts_summed)
     assert repr(got) == repr((2.935067886828244e+126, 0.0, 15327864))
+
+
+def test_universal_certificate_prices_its_blocks_closing_budget(monkeypatch):
+    # Move each block's closing pair to 2e^(E+10.5), a budget no block of the
+    # real schedule holds: the certificate before a block must price the
+    # moved budget, and 2e^(E+10) must never be priced.  Under the geometric
+    # law two_point(16) closes on the certificate before block 7; under the
+    # deterministic law its survival reaches zero before any is tried.
+    def moved_block(e):
+        *steps, (count, _) = schedules.budget_block(e)
+        return (*steps, (count, 2.0 * math.exp(e + 10.5)))
+
+    priced = []
+
+    def recording_stats(model, budget):
+        priced.append(budget)
+        return distx.runtime_stats(model, budget)
+
+    monkeypatch.setattr(analysis, "budget_block", moved_block)
+    monkeypatch.setattr(analysis, "runtime_stats", recording_stats)
+    est = analytic_cost(RuntimeModel(two_point(16.0), "geometric"), universal_schedule())
+    assert est.tail_bound > 0.0
+    assert not {2.0 * math.exp(e + 10.0) for e in schedules._UNIVERSAL_ES} & set(priced)
+    # The scan closes on the certificate before the first block it does not
+    # sum, and that certificate priced the block's moved closing budget last.
+    last = next(e for e in schedules._UNIVERSAL_ES
+                if sum(count for e2 in range(5, e) for count, _ in moved_block(e2))
+                == est.attempts_summed)
+    assert priced[-1] == 2.0 * math.exp(last + 10.5)
 
 
 def test_oracle_vs_brute_force_deterministic():

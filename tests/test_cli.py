@@ -181,6 +181,9 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         ("trials", 500.9),
         ("caps", {"max_attempts": 2.5}),
         ("eps_tail", True),
+        ("distribution", {"kind": "two_point", "E": True}),
+        ("schedule", {"kind": "luby", "unit": True}),
+        ("distribution", {"kind": "discrete", "atoms": [[True, 0.5], [0, 0.5]]}),
     ]:
         bad = write_config(tmp_path, {**BASIC, field: value}, name="badvalue.json")
         for command in ("analyze", "simulate"):
@@ -193,6 +196,8 @@ def test_config_validation_exit_codes(tmp_path, capsys):
          "mode must be one of ('analyze', 'simulate', 'both'), got 'fast'"),
         ({**BASIC, "caps": 5}, caps_err),
         ({**BASIC, "caps": {"max_tries": 1}}, caps_err),
+        ({**BASIC, "distribution": {"kind": "discrete", "atoms": [[True, 0.5], [0, 0.5]]}},
+         "distribution field 'atoms' holds a boolean, not a number"),
     ]:
         bad = write_config(tmp_path, obj, name="badentry.json")
         for command in ("analyze", "simulate"):
