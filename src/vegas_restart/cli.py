@@ -182,21 +182,13 @@ def _load_config_file(path: str) -> list[ExperimentConfig]:
     return parse_config(obj)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None) -> None:
     buf = io.StringIO()
     if fmt == "csv":
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in columns])
+        # None is written as an empty field and a float by its repr.
+        writer.writerows([row.get(col) for col in columns] for row in rows)
     else:  # jsonl
         for row in rows:
             buf.write(json.dumps({col: row.get(col) for col in columns}, sort_keys=True))
@@ -220,8 +212,7 @@ def _verdict_tokens(model) -> str:
     )
 
 
-def _base_row(cfg: ExperimentConfig, dist, model, sched) -> dict:
-    ex = expectation(dist)
+def _base_row(cfg: ExperimentConfig, dist, model, ex: float, sched) -> dict:
     return {
         "family": dist.kind,
         "distribution": dist.label,
@@ -253,7 +244,7 @@ def _sort_rows(rows: list[dict]) -> list[dict]:
 
 
 def _resolve(dist_spec, law: str, sched_specs: list):
-    """The distribution, runtime model and schedules of one run's specs."""
+    """The distribution, runtime model, mean and schedules of one run's specs."""
     try:
         dist = build_distribution(dist_spec)
         model = RuntimeModel(dist, law)
@@ -261,7 +252,7 @@ def _resolve(dist_spec, law: str, sched_specs: list):
         scheds = [build_schedule(spec, default_ex=ex) for spec in sched_specs]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return dist, model, scheds
+    return dist, model, ex, scheds
 
 
 def _check_trials(trials: int) -> None:
@@ -281,8 +272,8 @@ def _run_configs(args, fill, code: int, message: str) -> int:
         if args.trials is not None:
             cfg = cfg._replace(trials=args.trials)
         _check_trials(cfg.trials)
-        dist, model, (sched,) = _resolve(cfg.distribution, cfg.law, [cfg.schedule])
-        row = _base_row(cfg, dist, model, sched)
+        dist, model, ex, (sched,) = _resolve(cfg.distribution, cfg.law, [cfg.schedule])
+        row = _base_row(cfg, dist, model, ex, sched)
         tripped |= fill(cfg, dist, model, sched, row)
         rows.append(row)
     _emit(_sort_rows(rows), RESULT_COLUMNS, args.format, args.out)
@@ -387,15 +378,13 @@ def cmd_sweep(args) -> int:
         if args.t is not None:
             dist_spec["t"] = _parse_threshold_expr(args.t, e)
         sched_specs = [_sweep_schedule(token.strip(), e) for token in tokens]
-        dist, model, scheds = _resolve(dist_spec, args.law, sched_specs)
-        ex = expectation(dist)
+        dist, model, ex, scheds = _resolve(dist_spec, args.law, sched_specs)
         for sched in scheds:
             est = analytic_cost(model, sched, eps_tail=args.eps_tail)
             rows.append({"family": dist.kind, "distribution": dist.label, "law": args.law,
                          "schedule": sched.label, "EX": ex, **_priced(est, ex)})
         e += args.e_step
-    rows.sort(key=lambda r: (r["EX"], r["schedule"]))
-    _emit(rows, SWEEP_COLUMNS, args.format, args.out)
+    _emit(_sort_rows(rows), SWEEP_COLUMNS, args.format, args.out)
     return 0
 
 
