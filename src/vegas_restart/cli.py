@@ -260,12 +260,17 @@ def _check_trials(trials: int) -> None:
         raise ConfigError(f"trials must be >= 2, got {trials}")
 
 
-def _run_configs(args, fill, code: int, message: str) -> int:
+# The message of each exit code a config's row can trip.
+_TRIPS = {4: "infinite expected cost", 5: "cap-trip fraction exceeded the configured threshold"}
+
+
+def _run_configs(args, fill) -> int:
     """Each config of --config, with --seed/--trials applied, as one row:
     fill(cfg, dist, model, sched, row) adds the command's columns to the base
-    row and returns whether the config trips the command's exit code."""
+    row and returns the exit code the config trips, 0 if none.  Once every
+    row is written the lowest code tripped is the command's, so 4 wins over 5."""
     rows = []
-    tripped = False
+    tripped = set()
     for cfg in _load_config_file(args.config):
         if args.seed is not None:
             cfg = cfg._replace(seed=args.seed)
@@ -274,39 +279,43 @@ def _run_configs(args, fill, code: int, message: str) -> int:
         _check_trials(cfg.trials)
         dist, model, ex, (sched,) = _resolve(cfg.distribution, cfg.law, [cfg.schedule])
         row = _base_row(cfg, dist, model, ex, sched)
-        tripped |= fill(cfg, dist, model, sched, row)
+        tripped.add(fill(cfg, dist, model, sched, row))
         rows.append(row)
     _emit(_sort_rows(rows), RESULT_COLUMNS, args.format, args.out)
-    if tripped:
-        print(f"error: {message}", file=sys.stderr)
-        return code
-    return 0
+    code = min(tripped - {0}, default=0)
+    if code:
+        print(f"error: {_TRIPS[code]}", file=sys.stderr)
+    return code
 
 
-def _analyze_row(cfg, dist, model, sched, row) -> bool:
+def _analyze_row(cfg, dist, model, sched, row) -> int:
     est = analytic_cost(model, sched, eps_tail=cfg.eps_tail)
     row.update(_priced(est, row["EX"]))
     row["ratio"] = math.exp(row["excess_log_cost"])
     row["verdicts"] = _verdict_tokens(model)
-    return math.isinf(est.expected_cost) and cfg.mode != "analyze"
+    return 4 if math.isinf(est.expected_cost) and cfg.mode != "analyze" else 0
 
 
-def _simulate_row(cfg, dist, model, sched, row) -> bool:
+def _simulate_row(cfg, dist, model, sched, row) -> int:
+    # A cycle none of whose budgets can finish a run would keep each trial
+    # to its cap; outside mode "simulate" its closed form is priced first.
+    if (cfg.mode != "simulate" and sched.cycle is not None
+            and math.isinf(analytic_cost(model, sched).expected_cost)):
+        return 4
     caps = cfg.caps or default_caps(e_hint=distx.support_max(dist))
     estimate = mc_expected_cost(SamplerProcess(model), sched, trials=cfg.trials,
                                 seed=cfg.seed, caps=caps, on_cap="count")
     row.update(mc_mean=estimate.mean, mc_std_error=estimate.std_error,
                n_capped=estimate.n_capped)
-    return estimate.n_capped / cfg.trials > cfg.cap_trip_threshold
+    return 5 if estimate.n_capped / cfg.trials > cfg.cap_trip_threshold else 0
 
 
 def cmd_analyze(args) -> int:
-    return _run_configs(args, _analyze_row, 4, "infinite expected cost")
+    return _run_configs(args, _analyze_row)
 
 
 def cmd_simulate(args) -> int:
-    return _run_configs(args, _simulate_row, 5,
-                        "cap-trip fraction exceeded the configured threshold")
+    return _run_configs(args, _simulate_row)
 
 
 def cmd_verify(args) -> int:
@@ -372,8 +381,8 @@ def cmd_sweep(args) -> int:
         )
     _check_eps_tail(args.eps_tail, "--eps-tail")
     rows = []
-    e = float(args.e_start)
-    while e <= args.e_stop + 1e-12:
+    k = 0  # E = e_start + k * e_step, so that no rounding piles up over the steps
+    while (e := args.e_start + k * args.e_step) <= args.e_stop + 1e-12:
         dist_spec = {"kind": args.family, "c" if args.family == "constant" else "E": e}
         if args.t is not None:
             dist_spec["t"] = _parse_threshold_expr(args.t, e)
@@ -383,7 +392,7 @@ def cmd_sweep(args) -> int:
             est = analytic_cost(model, sched, eps_tail=args.eps_tail)
             rows.append({"family": dist.kind, "distribution": dist.label, "law": args.law,
                          "schedule": sched.label, "EX": ex, **_priced(est, ex)})
-        e += args.e_step
+        k += 1
     _emit(_sort_rows(rows), SWEEP_COLUMNS, args.format, args.out)
     return 0
 

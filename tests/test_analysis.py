@@ -18,6 +18,7 @@ from _brute import (
     reference_scan_cost,
     renewal_partial_cost,
 )
+from _outcomes import _enclosures_agree
 from vegas_restart import analysis, distx, schedules
 from vegas_restart.analysis import (
     TailNotConvergent,
@@ -733,14 +734,6 @@ _SCAN_PINS = [
         (constant(5.0), "geometric", luby_schedule(1.0), (148.4131591025765, 9.917515376311346e-09, 1023)),
         (constant(5.0), "geometric", luby_schedule(4.0), (148.413159102437, 2.512568418087836e-06, 255)),
 ]
-
-
-def _enclosures_agree(a, b):
-    """Two (expected_cost, tail_bound, attempts_summed) enclosures of the same
-    cost overlap, up to the rounding of a sum over the larger attempt count:
-    attempts_summed * 2**-53 relative, which is all two points can share."""
-    slack = max(a[2], b[2]) * 2.0**-53 * max(abs(a[0]), abs(b[0]))
-    return a[0] <= b[0] + b[1] + slack and b[0] <= a[0] + a[1] + slack
 
 
 @pytest.mark.parametrize("dist, law, schedule, expected", _SCAN_PINS)

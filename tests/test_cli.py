@@ -364,12 +364,67 @@ def test_simulate_cap_trips_exit_five(tmp_path, capsys):
             "schedule": {"kind": "single_threshold", "t": 3},
             "trials": 20,
             "caps": {"max_attempts": 5},
+            "mode": "simulate",
         },
     )
     assert main(["simulate", "--config", cfg]) == 5
     captured = capsys.readouterr()
     row = list(csv.DictReader(captured.out.splitlines()))[0]
     assert int(row["n_capped"]) == 20
+
+
+# Cycles none of whose budgets can finish a run: 2/e < 1 gives a geometric
+# run no whole step, and 2 is below e and e^2.  Each trial would run to its
+# cap, 10**7 attempts by default.
+# A run that cannot finish is capped at 1000 attempts, so that a command that
+# runs the trials ends fast with exit 5.
+_FAST_CAPS = {"trials": 20, "caps": {"max_attempts": 1000}}
+_INFINITE_CYCLES = [
+    {"distribution": {"kind": "constant", "c": 1}, "law": "geometric",
+     "schedule": {"kind": "single_threshold", "t": -1}},
+    {"distribution": {"kind": "discrete", "atoms": [[1, 0.5], [2, 0.5]]},
+     "law": "deterministic", "schedule": {"kind": "single_threshold", "t": 0}},
+]
+
+
+@pytest.mark.parametrize("config", _INFINITE_CYCLES)
+def test_simulate_prices_an_infinite_cycle_before_its_trials(tmp_path, capsys, monkeypatch,
+                                                             config):
+    config = {**config, **_FAST_CAPS}
+    cfg = write_config(tmp_path, config)
+    assert main(["simulate", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    (row,) = csv.DictReader(captured.out.splitlines())
+    assert [row[col] for col in ("mc_mean", "mc_std_error", "n_capped")] == ["", "", ""]
+    assert captured.err == "error: infinite expected cost\n"
+    # Mode "simulate" still runs the trials, each to its cap.
+    cfg = write_config(tmp_path, {**config, "mode": "simulate"})
+    assert main(["simulate", "--config", cfg]) == 5
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert int(row["n_capped"]) == 20
+
+
+def test_simulate_exit_four_wins_over_five_after_every_row(tmp_path, capsys):
+    capped = {"distribution": {"kind": "constant", "c": 10}, "law": "deterministic",
+              "schedule": {"kind": "single_threshold", "t": 3}, "trials": 20,
+              "caps": {"max_attempts": 5}, "mode": "simulate"}
+    cfg = write_config(tmp_path, [{**_INFINITE_CYCLES[1], **_FAST_CAPS}, capped])
+    assert main(["simulate", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert [(row["family"], row["n_capped"]) for row in rows] == [("constant", "20"),
+                                                                  ("discrete", "")]
+    assert captured.err == "error: infinite expected cost\n"
+
+
+def test_simulate_refuses_an_untrusted_closed_form_before_its_trials(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {"distribution": {"kind": "discrete", "atoms": [[0.0, 1e-310], [50.0, 1.0 - 1e-310]]},
+         "law": "deterministic", "schedule": {"kind": "single_threshold", "t": 0}, **_FAST_CAPS},
+    )
+    assert main(["simulate", "--config", cfg]) == 3
+    assert "overflows double range" in capsys.readouterr().err
 
 
 def test_simulate_counts_trials_past_universals_last_block_as_capped(
@@ -455,6 +510,21 @@ def test_sweep_two_point(tmp_path):
     }
     for row in rows:
         assert math.isfinite(float(row["excess_log_cost"]))
+
+
+@pytest.mark.parametrize("family, start, stop, count", [("two_point", 5, 30, 2501),
+                                                        ("constant", 0, 10, 1001)])
+def test_sweep_grid_does_not_drift(capsys, family, start, stop, count):
+    # E = start + k * step, not a running sum, which dropped E = 30 and
+    # priced c = 9.999999999999831 as c = 10.
+    assert main(["sweep", "--family", family, "--e-start", str(start), "--e-stop", str(stop),
+                 "--e-step", "0.01", "--schedules", "fixed"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == count
+    build = distx.two_point if family == "two_point" else distx.constant
+    assert [float(row["EX"]) for row in rows] == [
+        distx.expectation(build(start + k * 0.01)) for k in range(count)]
+    assert float(rows[-1]["EX"]) == stop
 
 
 def test_sweep_trap_family_with_threshold_expression(tmp_path):

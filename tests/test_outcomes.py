@@ -1,9 +1,10 @@
 """The outcome gates of _outcomes.py on the first cases of each section."""
 
 import copy
-import itertools
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -12,8 +13,7 @@ import _outcomes
 
 @pytest.fixture(scope="module")
 def record():
-    return {name: dict(itertools.islice(cases(), 3))
-            for name, (cases, _) in _outcomes.SECTIONS.items()}
+    return _outcomes.record(3)
 
 
 def test_a_record_round_trips_and_compares_clean(record, capsys):
@@ -45,3 +45,16 @@ def test_the_runner_takes_two_forms(capsys):
     assert _outcomes.main([]) == 2
     assert _outcomes.main(["--compare", "a.json"]) == 2
     assert "--compare A.json B.json" in capsys.readouterr().err
+
+
+def test_compare_runs_without_the_package(record, tmp_path):
+    # Comparing two records reads JSON alone, so it needs no PYTHONPATH.
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    script = (f"import runpy, sys; sys.modules['vegas_restart'] = None; "
+              f"sys.argv = ['_outcomes.py', '--compare', {str(path)!r}, {str(path)!r}]; "
+              f"runpy.run_path({_outcomes.__file__!r}, run_name='__main__')")
+    res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.count("differences: 0") == 2
