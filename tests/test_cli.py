@@ -373,12 +373,12 @@ def test_simulate_cap_trips_exit_five(tmp_path, capsys):
     assert int(row["n_capped"]) == 20
 
 
-# Cycles none of whose budgets can finish a run: 2/e < 1 gives a geometric
-# run no whole step, and 2 is below e and e^2.  Each trial would run to its
-# cap, 10**7 attempts by default.
-# A run that cannot finish is capped at 1000 attempts, so that a command that
-# runs the trials ends fast with exit 5.
+# A trial that cannot finish stops at 1000 attempts, so that a command that
+# runs such trials ends fast, with exit 5.
 _FAST_CAPS = {"trials": 20, "caps": {"max_attempts": 1000}}
+# Cycles none of whose budgets can finish a run: 2/e < 1 gives a geometric
+# run no whole step, and 2 is below e and e^2.  At the default caps each
+# trial would run to 10**7 attempts.
 _INFINITE_CYCLES = [
     {"distribution": {"kind": "constant", "c": 1}, "law": "geometric",
      "schedule": {"kind": "single_threshold", "t": -1}},
@@ -388,8 +388,7 @@ _INFINITE_CYCLES = [
 
 
 @pytest.mark.parametrize("config", _INFINITE_CYCLES)
-def test_simulate_prices_an_infinite_cycle_before_its_trials(tmp_path, capsys, monkeypatch,
-                                                             config):
+def test_simulate_prices_an_infinite_cycle_before_its_trials(tmp_path, capsys, config):
     config = {**config, **_FAST_CAPS}
     cfg = write_config(tmp_path, config)
     assert main(["simulate", "--config", cfg]) == 4
