@@ -386,7 +386,7 @@ def config_runs():
         ("infinite cost, mode simulate",
          {**infinite, "caps": {"max_attempts": 5}, "mode": "simulate"}, ()),
         # Budget 2/e < 1 gives a geometric run no whole step, and budget 2 is
-        # below e and e^2; simulate priced neither and ran each trial to its cap.
+        # below e and e^2: a trial of either can only end at a cap.
         ("no whole step", {"distribution": {"kind": "constant", "c": 1}, "law": "geometric",
                            "schedule": {"kind": "single_threshold", "t": -1}, **never}, ()),
         ("budget below every atom",
